@@ -83,6 +83,20 @@ class TestFig03:
         # on 1024-bit channels.
         assert out["active_utilization"] > 10 * out["wide_channel_efficiency"]
 
+    def test_series_pinned(self):
+        # Pins the bisection utilization series bin for bin on the
+        # full-size 16x8 Cells, so a change to how the per-link
+        # reservations are recorded cannot move Fig 3's y-axis.
+        out = fig03_bisection_transfer.run(
+            transfer_bytes=64 * 1024, orientation="horizontal", bin_width=64)
+        assert out["cycles"] == 896
+        assert out["series"] == [
+            (0, 0.064453125), (64, 0.3228515625), (128, 0.320703125),
+            (192, 0.319921875), (256, 0.3232421875), (320, 0.31640625),
+            (384, 0.3232421875), (448, 0.3216796875), (512, 0.3220703125),
+            (576, 0.3224609375), (640, 0.211328125), (704, 0.031640625),
+        ]
+
 
 class TestFig04:
     def test_paper_example(self):
