@@ -1,7 +1,6 @@
 """repro: an architectural reproduction of the HammerBlade RISC-V manycore.
 
-Public API (see ``docs/API.md`` for the full surface and the migration
-table from the legacy ``run_on_cell`` entry points):
+Public API (see ``docs/API.md`` for the full surface):
 
 * :class:`Session` / :func:`run` -- build a machine, launch kernels,
   collect :class:`RunResult`\\ s, optionally with tracing;
@@ -30,7 +29,8 @@ Quickstart::
 Deeper layers stay importable for model work: :mod:`repro.arch`
 (geometry/timings), :mod:`repro.runtime` (machines, Cells),
 :mod:`repro.isa` (kernel IR), :mod:`repro.workloads` (inputs),
-:mod:`repro.experiments` (paper figures), :mod:`repro.orch` (sweeps).
+:mod:`repro.experiments` (paper figures), :mod:`repro.orch` (sweeps),
+:mod:`repro.probe` (the observer slot trace, audit and sanitize share).
 """
 
 try:  # installed package: single source of truth is the metadata

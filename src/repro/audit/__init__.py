@@ -29,7 +29,6 @@ rule list and ``docs/API.md`` for the report schema.
 """
 
 from .checker import AuditConfig, Auditor, Violation
-from .instrument import attach
 from .reference import (
     RefLruCache,
     RefLruSet,
@@ -48,7 +47,6 @@ __all__ = [
     "RefLruSet",
     "RefRowState",
     "Violation",
-    "attach",
     "audit_report",
     "format_report",
     "hbm_min_latency",

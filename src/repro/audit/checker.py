@@ -1,7 +1,7 @@
 """The invariant and differential-validation engine.
 
-An :class:`Auditor` receives observational callbacks from instrumented
-components (see :mod:`repro.audit.instrument` for the wiring and
+An :class:`Auditor` is a :mod:`repro.probe` subscriber: it receives the
+engine, cache bank, HBM, PIM, wormhole and NoC events of a machine (see
 ``docs/MODEL.md`` "Model invariants & validation" for the rule list) and
 checks two kinds of property:
 
@@ -138,7 +138,18 @@ class Auditor:
         return not self.violations
 
     def bind(self, machine: Any) -> None:
+        """Shadow every cache bank, HBM channel, PIM engine and wormhole
+        strip of ``machine`` (called by :func:`repro.probe.attach`)."""
         self._machine = machine
+        memsys = machine.memsys
+        for bank in memsys.banks.values():
+            self.watch_bank(bank)
+        for channel in memsys.hbm.values():
+            self.watch_channel(channel)
+        for engine in memsys.pim_engines.values():
+            self.watch_pim(engine)
+        for strip in memsys.strips.values():
+            self.watch_strip(strip)
 
     def _record(self, kind: str, component: str, time: float, detail: str,
                 **extra: Any) -> None:
@@ -151,7 +162,7 @@ class Auditor:
             self.violations.append(site)
         self.counts[kind] = self.counts.get(kind, 0) + 1
 
-    # -- registration (instrument.attach + the differential tests) ----------
+    # -- registration (bind + the differential tests) ------------------------
 
     def watch_bank(self, bank: Any) -> None:
         timing = bank.timing
@@ -167,9 +178,6 @@ class Auditor:
     def watch_strip(self, strip: Any) -> None:
         for idx in range(strip.num_channels):
             self._strip_free[(id(strip), idx)] = 0.0
-
-    def watch_network(self, net: Any) -> None:
-        pass  # stateless checks; hook attribute is enough
 
     # -- engine -------------------------------------------------------------
 
@@ -188,7 +196,8 @@ class Auditor:
 
     def cache_access(self, bank: Any, set_idx: int, line: int, hit: bool,
                      time: float, start: float, port_cycles: float,
-                     retry: bool = False) -> None:
+                     retry: bool = False, is_write: bool = False,
+                     is_amo: bool = False) -> None:
         shadow = self._banks.get(id(bank))
         if shadow is None:
             return
@@ -321,7 +330,7 @@ class Auditor:
     def hbm_access(self, channel: Any, bank_idx: int, row: int, time: float,
                    start: float, row_state: str, burst_start: float,
                    burst_cycles: float, done: float, ready_before: float,
-                   ready_after: float) -> None:
+                   ready_after: float, is_write: bool = False) -> None:
         shadow = self._channels.get(id(channel))
         if shadow is None:
             return
@@ -454,7 +463,7 @@ class Auditor:
 
     def strip_transfer(self, strip: Any, channel_idx: int, time: float,
                        start: float, burst: float, done: float,
-                       bank_x: int) -> None:
+                       bank_x: int, nbytes: int = 0) -> None:
         key = (id(strip), channel_idx)
         if key not in self._strip_free:
             return

@@ -55,9 +55,9 @@ from .scoreboard import Scoreboard
 RegReady = Union[float, Future]
 
 #: Test hook: when True, every core expands recorded compute windows and
-#: interprets them op-by-op (the exact path), exactly as if a
-#: trace/sanitize/audit hook were attached.  Cycle counts are identical
-#: either way -- that equivalence is what the batched-path tests pin.
+#: interprets them op-by-op (the exact path), exactly as if a probe
+#: were attached.  Cycle counts are identical either way -- that
+#: equivalence is what the batched-path tests pin.
 EXACT_MODE = False
 
 #: reg_kind value -> stall category charged while waiting on that producer.
@@ -96,13 +96,10 @@ class TileCore:
         #: Last reason this core blocked on the event queue (a Table III
         #: stall category) -- surfaced by deadlock diagnostics.
         self.last_stall: Optional[str] = None
-        #: Timeline tracer hook (set by :func:`repro.trace.attach`);
-        #: ``None`` keeps every hot path on the untraced branch.
-        self._trace: Optional[Any] = None
-        self._trace_track: int = 0
-        #: Race-checker hook (set by :func:`repro.sanitize.attach`);
-        #: ``None`` keeps every memory op on the unchecked branch.
-        self._san: Optional[Any] = None
+        #: Observer slot (set by :func:`repro.probe.attach`): memory and
+        #: sync ops, stall spans, kernel end.  ``None`` keeps every hot
+        #: path on the unobserved branch.
+        self._probe: Optional[Any] = None
         self._fp_latency = {
             "fadd": timings.core.fadd,
             "fmul": timings.core.fmul,
@@ -190,22 +187,18 @@ class TileCore:
         # PIM window -- the sanitizer's completion rule).
         pim_pending = self._pim_pending = []
         _Future = Future
-        # Tracing hook: ``temit`` is None in untraced runs, so each stall
-        # charge point pays one pointer comparison and nothing else.
-        trace = self._trace
-        ttrack = self._trace_track
-        temit = trace.complete if trace is not None else None
-        # Sanitizer hook: same zero-cost-when-off discipline -- every
-        # memory/sync op pays one pointer comparison when it is None.
-        san = self._san
+        # Observer slot: ``None`` in unobserved runs, so each memory/sync
+        # op and stall charge point pays one pointer comparison and
+        # nothing else.  ``temit`` is the stall-span event.
+        probe = self._probe
+        temit = probe.tile_stall if probe is not None else None
         node = self.node
 
-        # Batched windows are only eligible when every observability hook
-        # is off: with any of trace/sanitize/audit attached (or the test
-        # hook forcing it), recorded BlockOp windows expand back into the
-        # per-op stream so the hooks observe the classic interpreter.
-        if (trace is not None or san is not None or sim.audit is not None
-                or EXACT_MODE):
+        # Batched windows are only eligible when no probe is attached:
+        # with one (or the test hook forcing it), recorded BlockOp
+        # windows expand back into the per-op stream so the subscribers
+        # observe the classic interpreter.
+        if probe is not None or EXACT_MODE:
             gen = expand_blocks(gen)
         gen_send = gen.send
 
@@ -241,7 +234,7 @@ class TileCore:
                     t += miss
                     cv[S_ICACHE] += miss
                     if temit is not None:
-                        temit(ttrack, S_ICACHE, t - miss, miss)
+                        temit(node, S_ICACHE, t - miss, miss)
 
             if cls is _IntOp or cls is _FpOp or cls is _BranchOp:
                 # Source dependencies (compute fast-path: usually floats).
@@ -270,7 +263,7 @@ class TileCore:
                         else:
                             cv[S_BYPASS] += gap
                         if temit is not None:
-                            temit(ttrack, _KIND_STALL[kind], t, gap)
+                            temit(node, _KIND_STALL[kind], t, gap)
                         t = ready
 
                 if cls is _IntOp:
@@ -286,7 +279,7 @@ class TileCore:
                         if self._fdiv_free > t:
                             cv[S_FDIV] += self._fdiv_free - t
                             if temit is not None:
-                                temit(ttrack, S_FDIV, t, self._fdiv_free - t)
+                                temit(node, S_FDIV, t, self._fdiv_free - t)
                             t = self._fdiv_free
                         issue = t
                         self._fdiv_free = issue + lat
@@ -307,7 +300,7 @@ class TileCore:
                         t += flush
                         cv[S_BRANCH] += flush
                         if temit is not None:
-                            temit(ttrack, S_BRANCH, t - flush, flush)
+                            temit(node, S_BRANCH, t - flush, flush)
                 continue
 
             # Memory and synchronization ops.  Source waits and the
@@ -334,12 +327,12 @@ class TileCore:
                         else:
                             cv[S_BYPASS] += gap
                         if temit is not None:
-                            temit(ttrack, _KIND_STALL[kind], t, gap)
+                            temit(node, _KIND_STALL[kind], t, gap)
                         t = r
 
             if cls is _LoadOp:
-                if san is not None:
-                    san.load(node, op, t)
+                if probe is not None:
+                    probe.load(node, op, t)
                 if (op.addr >> TAG_SHIFT) == 0 or is_own_spm(op.addr, self.node):
                     free = spm_port.free_at
                     start = free if free > t else t
@@ -367,8 +360,8 @@ class TileCore:
                         op.addr, False, t, words=1, dsts=(op.dst,),
                     )
             elif cls is _VecLoadOp:
-                if san is not None:
-                    san.vload(node, op, t)
+                if probe is not None:
+                    probe.vload(node, op, t)
                 if compression:
                     if nonblocking and sb.outstanding < sb.capacity:
                         sb.outstanding += 1
@@ -397,8 +390,8 @@ class TileCore:
                             op.addr + 4 * i, False, t, words=1, dsts=(dst,),
                         )
             elif cls is _StoreOp:
-                if san is not None:
-                    san.store(node, op, t)
+                if probe is not None:
+                    probe.store(node, op, t)
                 if (op.addr >> TAG_SHIFT) == 0 or is_own_spm(op.addr, self.node):
                     free = spm_port.free_at
                     spm_port.free_at = (free if free > t else t) + 1
@@ -421,10 +414,10 @@ class TileCore:
                         op.addr, True, t, words=1, dsts=(),
                     )
             elif cls is _AmoOp:
-                if san is not None:
+                if probe is not None:
                     # Handoff: the checker processes the AMO when the
                     # packet serializes at its bank (memsys hook).
-                    san.amo_issue(node, op)
+                    probe.amo_issue(node, op)
                 if sb.outstanding < sb.capacity:
                     sb.outstanding += 1
                     sb.total_issued += 1
@@ -442,7 +435,7 @@ class TileCore:
                     if arrival > t:
                         cv[S_AMO] += arrival - t
                         if temit is not None:
-                            temit(ttrack, S_AMO, t, arrival - t)
+                            temit(node, S_AMO, t, arrival - t)
                         t = arrival
                 else:
                     t, old = yield from self._issue_amo(op, t)
@@ -453,8 +446,8 @@ class TileCore:
             elif cls is _FenceOp:
                 t += 1
                 cv[EXEC_INT] += 1
-                if san is not None:
-                    san.fence(node, t)
+                if probe is not None:
+                    probe.fence(node, t)
                 if not sb.empty:
                     self.last_stall = st.STALL_FENCE
                     if t > sim._now:
@@ -464,7 +457,7 @@ class TileCore:
                     drained = max(t, sim._now)
                     cv[st.STALL_FENCE] += drained - t
                     if temit is not None and drained > t:
-                        temit(ttrack, st.STALL_FENCE, t, drained - t)
+                        temit(node, st.STALL_FENCE, t, drained - t)
                     t = drained
             elif cls is _BarrierOp:
                 t += 1
@@ -477,19 +470,19 @@ class TileCore:
                 released = max(t, sim._now)
                 cv[st.STALL_BARRIER] += released - t
                 if temit is not None and released > t:
-                    temit(ttrack, st.STALL_BARRIER, t, released - t)
+                    temit(node, st.STALL_BARRIER, t, released - t)
                 t = released
             elif cls is _SleepOp:
                 t += op.cycles
                 cv[st.STALL_IDLE] += op.cycles
                 if temit is not None:
-                    temit(ttrack, st.STALL_IDLE, t - op.cycles, op.cycles)
+                    temit(node, st.STALL_IDLE, t - op.cycles, op.cycles)
             elif cls is _PimIssueOp:
                 # Fire-and-forget, like a store -- but tracked in the
                 # PIM-pending list instead of the scoreboard so ordinary
                 # fences stay PIM-oblivious.
-                if san is not None:
-                    san.pim_issue(node, op, t)
+                if probe is not None:
+                    probe.pim_issue(node, op, t)
                 if t > sim._now:
                     yield t - sim._now
                 fut = memsys.pim_request(node, op.addr, op.command, t)
@@ -510,14 +503,14 @@ class TileCore:
                 if arrival > t:
                     cv[S_AMO] += arrival - t
                     if temit is not None:
-                        temit(ttrack, S_AMO, t, arrival - t)
+                        temit(node, S_AMO, t, arrival - t)
                     t = arrival
                 send_val = payload
             elif cls is _PimFenceOp:
                 t += 1
                 cv[EXEC_INT] += 1
-                if san is not None:
-                    san.pim_fence(node, t)
+                if probe is not None:
+                    probe.pim_fence(node, t)
                 if pim_pending:
                     self.last_stall = st.STALL_FENCE
                     # Completion is the max arrival over pending commands
@@ -535,7 +528,7 @@ class TileCore:
                             drained = arrival
                     cv[st.STALL_FENCE] += drained - t
                     if temit is not None and drained > t:
-                        temit(ttrack, st.STALL_FENCE, t, drained - t)
+                        temit(node, st.STALL_FENCE, t, drained - t)
                     t = drained
                     del pim_pending[:]
             else:
@@ -551,16 +544,13 @@ class TileCore:
             drained = max(t, sim._now)
             cv[st.STALL_FENCE] += drained - t
             if temit is not None and drained > t:
-                temit(ttrack, st.STALL_FENCE, t, drained - t)
+                temit(node, st.STALL_FENCE, t, drained - t)
             t = drained
-        if san is not None:
+        if probe is not None:
             # The implicit drain releases outstanding requests exactly
-            # like an explicit fence would.
-            san.kernel_end(node, t)
-        if trace is not None:
-            # Whole-launch span; the stall spans above nest inside it.
-            trace.complete(ttrack, "kernel", self.start_time,
-                           t - self.start_time)
+            # like an explicit fence would; the whole-launch trace span
+            # ends here too.
+            probe.kernel_end(node, t)
         self.finish_time = t
         return t
 
@@ -572,7 +562,7 @@ class TileCore:
         Executes the decoded body ``op.iters`` times without touching
         the kernel generator, then hands the steady state to a
         :class:`FoldTracker` so long windows advance arithmetically.
-        This path only runs with every observability hook off, so the
+        This path only runs with no probe attached, so the
         icache state can live in locals for the whole window -- written
         back whenever control can leave the tile (future yields) and at
         the end, keeping any concurrent reader consistent.
@@ -761,9 +751,9 @@ class TileCore:
                     cv[st.STALL_FDIV] += gap
                 else:
                     cv[st.STALL_BYPASS] += gap
-                if self._trace is not None:
-                    self._trace.complete(self._trace_track,
-                                         _KIND_STALL[kind], t, gap)
+                if self._probe is not None:
+                    self._probe.tile_stall(self.node, _KIND_STALL[kind], t,
+                                           gap)
                 t = ready
         return t
 
@@ -779,9 +769,9 @@ class TileCore:
             yield fut
             granted = max(t, sim._now)
             self.counters.raw[st.STALL_CREDIT] += granted - t
-            if self._trace is not None and granted > t:
-                self._trace.complete(self._trace_track, st.STALL_CREDIT,
-                                     t, granted - t)
+            if self._probe is not None and granted > t:
+                self._probe.tile_stall(self.node, st.STALL_CREDIT, t,
+                                       granted - t)
             t = granted
         sb.acquire()
         return t
@@ -810,9 +800,9 @@ class TileCore:
             yield fut
             arrival = fut._value
             cv[st.STALL_DEPEND_LOAD] += max(0.0, arrival - t)
-            if self._trace is not None and arrival > t:
-                self._trace.complete(self._trace_track, st.STALL_DEPEND_LOAD,
-                                     t, arrival - t)
+            if self._probe is not None and arrival > t:
+                self._probe.tile_stall(self.node, st.STALL_DEPEND_LOAD, t,
+                                       arrival - t)
             t = max(t, arrival)
             for dst in dsts:
                 reg_ready[dst] = arrival
@@ -833,8 +823,7 @@ class TileCore:
         yield fut
         arrival, old = fut._value
         cv[st.STALL_AMO] += max(0.0, arrival - t)
-        if self._trace is not None and arrival > t:
-            self._trace.complete(self._trace_track, st.STALL_AMO,
-                                 t, arrival - t)
+        if self._probe is not None and arrival > t:
+            self._probe.tile_stall(self.node, st.STALL_AMO, t, arrival - t)
         t = max(t, arrival)
         return t, old

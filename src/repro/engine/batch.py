@@ -22,8 +22,8 @@ windows:
   O(1) -- the compute-side analogue of the event queue's quiescence
   skip-ahead;
 * :func:`expand_blocks` -- the exact path: a generator adapter that
-  re-materializes each window into the per-op stream whenever a
-  trace/sanitize/audit hook is attached, so observability always sees
+  re-materializes each window into the per-op stream whenever a probe
+  (trace/sanitize/audit) is attached, so observability always sees
   (and checks) the classic interpreter, cycle-identical to the batched
   one.
 

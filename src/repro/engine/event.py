@@ -30,6 +30,9 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 #: Sentinel meaning "call the event's callback with no argument".
 _NO_ARG = object()
 
+#: Horizon of a run without ``until``.
+_INF = float("inf")
+
 #: Recycled internal event records kept per simulator (see ``_post``).
 _POOL_MAX = 2048
 
@@ -107,19 +110,10 @@ class Simulator:
         #: workload report the same value -- the PDES coordinator uses it
         #: as the barrier-invariant final clock.
         self.last_event_time: float = 0
-        #: Observability hook (a :class:`repro.trace.Trace` or ``None``).
-        #: When set, ``run()`` leaves the inlined fast path and ticks the
-        #: tracer's clock-driven metrics sampler after every event.
-        self.tracer = None
-        #: Correctness hook (a :class:`repro.sanitize.Sanitizer` or
-        #: ``None``).  Purely observational -- the run loop never looks
-        #: at it; components read it at wiring points (launch, barrier
-        #: partitioning) and through their own ``_san`` attributes.
-        self.sanitizer = None
-        #: Invariant hook (a :class:`repro.audit.Auditor` or ``None``).
+        #: Observer slot (a :class:`repro.probe.Probe` or ``None``).
         #: When set, ``run()`` leaves the inlined fast path and reports
-        #: each dispatched event's time for monotonicity checking.
-        self.audit = None
+        #: every dispatched event's time as an ``engine_event``.
+        self.probe = None
 
     @property
     def now(self) -> float:
@@ -292,8 +286,7 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if (until is None and max_events is None and self.tracer is None
-                    and self.audit is None):
+            if max_events is None and self.probe is None:
                 # Hot path: ``step``/``_pop_next`` inlined into one drain
                 # loop -- two fewer Python calls per event.  ``_compact``
                 # mutates the containers in place, so the local aliases
@@ -310,6 +303,13 @@ class Simulator:
                 # spans cost one heap inspection instead of per-cycle
                 # machinery, and dispatch itself no longer compares heap
                 # heads or re-assigns ``_now`` per event.
+                #
+                # The horizon is checked only at that refill: FIFO-lane
+                # events are at the current time, which reaches ``until``
+                # only through the guarded jump.  This keeps the PDES
+                # window loop's thousands of ``run(until=barrier)`` calls
+                # per shard on the same path as a free run.
+                horizon = _INF if until is None else until
                 fast = self._fast
                 queue = self._queue
                 pool = self._pool
@@ -323,57 +323,7 @@ class Simulator:
                             event = popleft()
                         elif queue:
                             tnext = queue[0][0]
-                            self._now = tnext
-                            while queue and queue[0][0] == tnext:
-                                append(heappop(queue)[2])
-                            continue
-                        else:
-                            break
-                        if event.cancelled:
-                            self._ncancelled -= 1
-                            continue
-                        fn = event.fn
-                        arg = event.arg
-                        event.fn = None
-                        event.arg = None
-                        if event.pooled:
-                            if len(pool) < _POOL_MAX:
-                                pool.append(event)
-                        else:
-                            event._sim = None
-                        executed += 1
-                        if arg is _NO_ARG:
-                            fn()
-                        else:
-                            fn(arg)
-                finally:
-                    self.events_executed += executed
-                    if executed:
-                        self.last_event_time = self._now
-                return self._now
-            if (max_events is None and self.tracer is None
-                    and self.audit is None):
-                # Bounded fast path: the same inlined drain, stopping as
-                # soon as the heap's head is past the horizon.  The FIFO
-                # lane never needs a horizon check -- its events are at
-                # the current time, which only reaches ``until`` via the
-                # guarded heap refill.  This is the PDES window loop's
-                # hot path: thousands of ``run(until=barrier)`` calls per
-                # shard must not pay the peek()-per-event slow loop.
-                fast = self._fast
-                queue = self._queue
-                pool = self._pool
-                heappop = heapq.heappop
-                append = fast.append
-                popleft = fast.popleft
-                executed = 0
-                try:
-                    while True:
-                        if fast:
-                            event = popleft()
-                        elif queue:
-                            tnext = queue[0][0]
-                            if tnext > until:
+                            if tnext > horizon:
                                 break
                             self._now = tnext
                             while queue and queue[0][0] == tnext:
@@ -405,12 +355,11 @@ class Simulator:
                         # the horizon clamp below is what must not leak
                         # into the barrier-invariant clock.
                         self.last_event_time = self._now
-                if until > self._now:
+                if until is not None and until > self._now:
                     self._now = until
                 return self._now
             count = 0
-            tracer = self.tracer
-            auditor = self.audit
+            probe = self.probe
             while True:
                 nxt = self.peek()
                 if nxt is None:
@@ -425,10 +374,8 @@ class Simulator:
                         self._now = until
                     break
                 self.step()
-                if tracer is not None:
-                    tracer.engine_tick(self._now)
-                if auditor is not None:
-                    auditor.engine_event(self._now)
+                if probe is not None:
+                    probe.engine_event(self._now)
                 count += 1
                 if max_events is not None and count >= max_events:
                     raise SimulationError(

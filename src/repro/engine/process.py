@@ -121,18 +121,18 @@ class Process:
         self._step = self._advance
         self._wake = self._resume_soon
         sim._post(sim._now + start_delay, self._step, None)
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.process_started(self, sim._now)
+        probe = sim.probe
+        if probe is not None:
+            probe.process_started(self, sim._now)
 
     def _advance(self, send_value: Any) -> None:
         try:
             yielded = self.gen.send(send_value)
         except StopIteration as stop:
             self.done.resolve(stop.value)
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.process_finished(self, self.sim._now)
+            probe = self.sim.probe
+            if probe is not None:
+                probe.process_finished(self, self.sim._now)
             return
         sim = self.sim
         # Exact-class dispatch first: yields are overwhelmingly plain

@@ -23,10 +23,12 @@ from ..isa.program import kernel
 from ..kernels.base import num_tiles, range_split, tile_id
 from ..perf.bisection import (
     BisectionStats,
+    LinkSeries,
     horizontal_cut,
     utilization_series,
     vertical_cut,
 )
+from ..probe import attach
 from ..runtime.machine import Machine
 
 
@@ -64,7 +66,14 @@ def run(transfer_bytes: int = 256 * 1024, orientation: str = "horizontal",
         features=HB_16x8.features if ruche else
         HB_16x8.features.__class__(ruche_network=False),
     )
-    machine = Machine(config, record_bin_width=bin_width)
+    machine = Machine(config)
+    net = machine.memsys.req_net
+    recorder = None
+    if orientation == "horizontal":
+        # The time series keys off the vertical cut between the Cells.
+        recorder = LinkSeries(net.topology.cut_links_x(tiles_x - 0.5),
+                              bin_width)
+        attach(machine, recorder)
     cell0 = machine.cell(0, 0)
     dst_cell = (1, 0) if orientation == "horizontal" else (0, 1)
     args = {
@@ -77,15 +86,12 @@ def run(transfer_bytes: int = 256 * 1024, orientation: str = "horizontal",
     handle = cell0.launch(args)
     cycles = machine.run_to_completion([handle])
 
-    net = machine.memsys.req_net
-    if orientation == "horizontal":
-        plane = tiles_x - 0.5
-        stats: BisectionStats = vertical_cut(net, plane, cycles)
-        series = utilization_series(net, plane)
+    if recorder is not None:
+        stats: BisectionStats = vertical_cut(net, tiles_x - 0.5, cycles)
+        series = utilization_series(recorder)
     else:
-        plane = (tiles_y + 2) - 0.5
-        stats = horizontal_cut(net, plane, cycles)
-        series = []  # series recording keys off vertical cuts only
+        stats = horizontal_cut(net, (tiles_y + 2) - 0.5, cycles)
+        series = []
 
     # The hierarchical comparison: the same payload over wide channels.
     wide = WideChannelModel().transfer(transfer_bytes, sparse=True)

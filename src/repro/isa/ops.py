@@ -253,7 +253,7 @@ class BlockOp(Op):
     remote memory, atomics, fences, barriers -- stays outside so the
     block advances the tile's local clock atomically in host order.
 
-    When any observability hook (trace/sanitize/audit) is attached, the
+    When a probe (trace/sanitize/audit) is attached, the
     core never sees a ``BlockOp``: :func:`repro.engine.batch.expand_blocks`
     re-materializes the recorded ops one by one, so hook-on runs take
     the classic per-op path (and stay cycle-identical to batched runs).
@@ -321,7 +321,7 @@ class BlockOp(Op):
     def expand(self):
         """Yield the equivalent per-instruction op stream.
 
-        Used by the exact path (trace/sanitize/audit attached): the
+        Used by the exact path (a probe attached): the
         expanded ops carry the same pcs, registers, addresses and branch
         outcomes the recorder saw, so the classic interpreter -- and
         every hook observing it -- sees the identical instruction

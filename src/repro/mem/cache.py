@@ -61,13 +61,10 @@ class CacheBank:
         self._sets: List[Dict[int, _Line]] = [dict() for _ in range(timing.sets)]
         self.mshr = MshrFile(timing.mshr_entries)
         self.counters = Counter()
-        #: Timeline tracer hook (set by :func:`repro.trace.attach`).
-        self._trace = None
-        self._trace_track = 0
-        #: Invariant-checker hook (set by :func:`repro.audit.attach`):
-        #: observes port reservations, hit/miss classification, evictions
-        #: and MSHR accounting against naive reference models.
-        self._audit = None
+        #: Observer slot (set by :func:`repro.probe.attach`): port
+        #: reservations, hit/miss classification, evictions and MSHR
+        #: accounting.
+        self._probe = None
         # Hot-path constants.
         self._nsets = timing.sets
         self._nways = timing.ways
@@ -111,31 +108,17 @@ class CacheBank:
         set_idx = line % self._nsets
         ways = self._sets[set_idx]
         entry = ways.pop(line, None)
-        trace = self._trace
-        if self._audit is not None:
-            self._audit.cache_access(self, set_idx, line, entry is not None,
-                                     time, start, port_cycles)
+        if self._probe is not None:
+            self._probe.cache_access(self, set_idx, line, entry is not None,
+                                     time, start, port_cycles, False,
+                                     is_write, is_amo)
         if entry is not None:
             ways[line] = entry  # LRU promote: MRU lives at the back
             cv["store_hits" if is_write else "load_hits"] += 1
             if is_write or is_amo:
                 entry.dirty = True
-            if trace is not None:
-                trace.complete(
-                    self._trace_track,
-                    "amo-hit" if is_amo
-                    else ("store-hit" if is_write else "load-hit"),
-                    start, port_cycles)
             return start + self._hit_latency
         cv["store_misses" if is_write else "load_misses"] += 1
-        if trace is not None:
-            # The span covers the port occupancy (reservation window);
-            # refill latency shows up on the wormhole and HBM tracks.
-            trace.complete(
-                self._trace_track,
-                "amo-miss" if is_amo
-                else ("store-miss" if is_write else "load-miss"),
-                start, port_cycles)
         if is_write and not is_amo and self.write_validate:
             # Allocate without fetching; only a dirty victim costs DRAM
             # work (and the writeback posts no events, so returning the
@@ -179,16 +162,16 @@ class CacheBank:
             return
         if len(ways) >= self._nways:
             victim = next(iter(ways))  # front of the dict == LRU
-            if self._audit is not None:
-                self._audit.cache_evict(self, line % self._nsets, victim,
+            if self._probe is not None:
+                self._probe.cache_evict(self, line % self._nsets, victim,
                                         time)
             victim_line = ways.pop(victim)
             self.counters.raw["evictions"] += 1
             if victim_line.dirty:
                 self._writeback(victim, time)
         ways[line] = _Line(line, dirty)
-        if self._audit is not None:
-            self._audit.cache_install(self, line % self._nsets, line, time)
+        if self._probe is not None:
+            self._probe.cache_install(self, line % self._nsets, line, time)
 
     def _writeback(self, line: int, time: float) -> None:
         """Dirty eviction: occupy the strip channel and the HBM bus."""
@@ -204,8 +187,8 @@ class CacheBank:
         existing = self.mshr.lookup(line)
         if existing is not None:
             self.mshr.merge(line, fut)
-            if self._audit is not None:
-                self._audit.mshr_merge(self, line, time)
+            if self._probe is not None:
+                self._probe.mshr_merge(self, line, time)
             if mark_dirty:
                 # The waiter's write lands after refill; remember dirtiness.
                 existing.waiters.append(self._dirty_marker(line))
@@ -217,10 +200,8 @@ class CacheBank:
                 # heap must not let the retry spin without advancing time.
                 retry_at = time + 1
             self.counters.raw["mshr_full_stalls"] += 1
-            if self._trace is not None:
-                self._trace.instant(self._trace_track, "mshr-full", time)
-            if self._audit is not None:
-                self._audit.mshr_retry(self, line, time, retry_at)
+            if self._probe is not None:
+                self._probe.mshr_retry(self, line, time, retry_at)
             self.sim.schedule_at(retry_at, self._retry_miss,
                                  (line, fut, mark_dirty, port_cycles))
             return
@@ -231,8 +212,8 @@ class CacheBank:
         )
         entry = self.mshr.allocate(line, time, refill_done)
         entry.waiters.append(fut)
-        if self._audit is not None:
-            self._audit.mshr_alloc(self, line, time)
+        if self._probe is not None:
+            self._probe.mshr_alloc(self, line, time)
         if self.nonblocking is False:
             # Blocking bank: nothing else is served until the refill lands.
             self._port.free_at = max(self._port.free_at, refill_done)
@@ -251,10 +232,10 @@ class CacheBank:
         """
         line, fut, mark_dirty, port_cycles = args
         start = self._port.reserve(self.sim._now, port_cycles)
-        if self._audit is not None:
-            self._audit.cache_access(self, line % self._nsets, line,
+        if self._probe is not None:
+            self._probe.cache_access(self, line % self._nsets, line,
                                      False, self.sim._now, start,
-                                     port_cycles, retry=True)
+                                     port_cycles, True)
         self._miss(line, fut, start, mark_dirty, port_cycles)
 
     def _dirty_marker(self, line: int) -> Future:
@@ -270,8 +251,8 @@ class CacheBank:
 
     def _refill(self, line: int, dirty: bool, time: float) -> None:
         self._install(line, dirty=dirty, time=time)
-        if self._audit is not None:
-            self._audit.mshr_release(self, line, time)
+        if self._probe is not None:
+            self._probe.mshr_release(self, line, time)
         waiters = self.mshr.release(line)
         hit_latency = self._hit_latency
         for waiter in waiters:

@@ -48,12 +48,11 @@ class HwBarrierGroup:
     reaches the arriving tile.  The group is reusable (epochs).
     """
 
-    #: Timeline tracer hook (set by the tile-group partitioner).
-    _trace = None
-    _trace_track = 0
-    #: Race-checker hook (set by the tile-group partitioner): a barrier
-    #: epoch is a release/acquire edge over the whole group.
-    _san = None
+    #: Barrier flavour, as named in traces.
+    kind = "hw"
+    #: Observer slot (set by the tile-group partitioner): joins and
+    #: epoch releases, a release/acquire edge over the whole group.
+    _probe = None
 
     def __init__(self, sim: Simulator, members: List[Coord],
                  timing: BarrierTiming, ruche: bool = True) -> None:
@@ -79,8 +78,8 @@ class HwBarrierGroup:
         return max(self._hops.values())
 
     def arrive(self, node: Coord, time: float) -> Future:
-        if self._san is not None:
-            self._san.barrier_join(self, node, time)
+        if self._probe is not None:
+            self._probe.barrier_join(self, node, time)
         if node not in self._hops:
             raise ValueError(f"{node} is not a member of this barrier group")
         if node in self._pending:
@@ -92,8 +91,6 @@ class HwBarrierGroup:
         return fut
 
     def _release(self) -> None:
-        if self._san is not None:
-            self._san.barrier_release(self)
         hop = self.timing.hop_latency
         root_time = max(t + self._hops[n] * hop for n, (t, _f) in self._pending.items())
         first_arrival = min(t for t, _f in self._pending.values())
@@ -103,10 +100,8 @@ class HwBarrierGroup:
             t for t, _f in self._pending.values()
         )
         del first_arrival
-        if self._trace is not None:
-            self._trace.instant(
-                self._trace_track, "hw-release", root_time,
-                {"size": len(self.members), "epoch": self.epochs})
+        if self._probe is not None:
+            self._probe.barrier_release(self, root_time)
         self._pending = {}
         self.epochs += 1
 
@@ -120,12 +115,10 @@ class SwBarrierGroup:
     plus a round-trip later.
     """
 
-    #: Timeline tracer hook (set by the tile-group partitioner).
-    _trace = None
-    _trace_track = 0
-    #: Race-checker hook: the SW counter-and-spin barrier is the same
+    kind = "sw"
+    #: Observer slot: the SW counter-and-spin barrier is the same
     #: release/acquire edge as the HW tree, just slower.
-    _san = None
+    _probe = None
 
     def __init__(self, sim: Simulator, members: List[Coord],
                  counter_node: Optional[Coord] = None,
@@ -152,8 +145,8 @@ class SwBarrierGroup:
                 + abs(node[1] - self.counter_node[1]))
 
     def arrive(self, node: Coord, time: float) -> Future:
-        if self._san is not None:
-            self._san.barrier_join(self, node, time)
+        if self._probe is not None:
+            self._probe.barrier_join(self, node, time)
         if node not in self.members:
             raise ValueError(f"{node} is not a member of this barrier group")
         if node in self._pending:
@@ -165,8 +158,6 @@ class SwBarrierGroup:
         return fut
 
     def _release(self) -> None:
-        if self._san is not None:
-            self._san.barrier_release(self)
         # Serialize the amoadds at the counter bank in arrival order.
         bank_free = self._bank_free
         flag_time = 0.0
@@ -177,10 +168,8 @@ class SwBarrierGroup:
             bank_free = start + self.serialize_cycles
             flag_time = bank_free
         self._bank_free = bank_free
-        if self._trace is not None:
-            self._trace.instant(
-                self._trace_track, "sw-release", flag_time,
-                {"size": len(self.members), "epoch": self.epochs})
+        if self._probe is not None:
+            self._probe.barrier_release(self, flag_time)
         for node, (_t, fut) in self._pending.items():
             rtt = 2 * self._distance(node) * self.hop_latency
             fut.resolve_at(flag_time + self.poll_interval / 2 + rtt, None)

@@ -16,7 +16,7 @@ way.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..arch.geometry import ChipGeometry, Coord
 from ..arch.params import NocTiming
@@ -50,8 +50,7 @@ class Network:
     """One physical network plane."""
 
     def __init__(self, chip: ChipGeometry, timing: NocTiming, ruche: bool,
-                 order: str, name: str = "net",
-                 record_bin_width: Optional[float] = None) -> None:
+                 order: str, name: str = "net") -> None:
         self.chip = chip
         self.timing = timing
         self.order = order
@@ -65,18 +64,9 @@ class Network:
         self._eject = timing.eject_latency
         self._routes: Dict[Tuple[Coord, Coord], Tuple[Link, ...]] = {}
         self._hops: Dict[Tuple[Coord, Coord], int] = {}
-        if record_bin_width is not None:
-            for link in self.topology.links():
-                link.enable_series(record_bin_width)
-        #: Timeline tracer hook (set by :func:`repro.trace.attach`):
-        #: per-link-class utilization is sampled by the metrics registry;
-        #: the per-packet hook below only flags congested deliveries.
-        self._trace = None
-        self._trace_track = 0
-        self._trace_threshold = 0.0
-        #: Invariant-checker hook (set by :func:`repro.audit.attach`):
-        #: per-packet latency decomposition and hop-count lower bounds.
-        self._audit = None
+        #: Observer slot (set by :func:`repro.probe.attach`): one event
+        #: per link reservation and one per delivered packet.
+        self._probe = None
 
     def send(self, src: Coord, dst: Coord, flits: int, time: float) -> DeliveryReport:
         """Reserve the path for a packet injected at ``time``.
@@ -94,6 +84,7 @@ class Network:
         hop_cost = self._hop_cost
         stall_total = 0.0
         head = time + self._inject
+        probe = self._probe
         for link in path:
             start = link.free_at
             if start < head:
@@ -105,8 +96,8 @@ class Network:
             link.free_at = start + flits
             link.busy_cycles += flits
             link.packets += 1
-            if link.series is not None:
-                link.series.add_range(start, start + flits)
+            if probe is not None:
+                probe.link_reserve(link, start, flits)
             head = start + hop_cost
         arrival = head + (flits - 1) + self._eject
         cv = self.counters.raw
@@ -114,14 +105,9 @@ class Network:
         cv["flits"] += flits
         cv["hops"] += len(path)
         cv["stall_cycles"] += stall_total
-        if self._trace is not None and stall_total >= self._trace_threshold:
-            self._trace.instant(
-                self._trace_track, "congested", time,
-                {"src": tuple(src), "dst": tuple(dst),
-                 "stall": stall_total, "hops": len(path)})
         report = DeliveryReport(arrival, len(path), stall_total)
-        if self._audit is not None:
-            self._audit.noc_send(self, src, dst, flits, time, report)
+        if probe is not None:
+            probe.noc_send(self, src, dst, flits, time, report)
         return report
 
     def send_arrival(self, src: Coord, dst: Coord, flits: int,
@@ -129,9 +115,9 @@ class Network:
         """Hot-path variant of :meth:`send` returning only the arrival
         cycle.  Link-state updates and counters are identical; the
         :class:`DeliveryReport` allocation is skipped.  Falls back to
-        :meth:`send` whenever an attached hook needs the full report.
+        :meth:`send` whenever a probe is attached.
         """
-        if self._trace is not None or self._audit is not None:
+        if self._probe is not None:
             return self.send(src, dst, flits, time).arrival
         if flits <= 0:
             raise ValueError("packets carry at least one flit")
@@ -153,8 +139,6 @@ class Network:
             link.free_at = start + flits
             link.busy_cycles += flits
             link.packets += 1
-            if link.series is not None:
-                link.series.add_range(start, start + flits)
             head = start + hop_cost
         cv = self.counters.raw
         cv["packets"] += 1
@@ -198,8 +182,6 @@ class Network:
             link.free_at = start + flits
             link.busy_cycles += flits
             link.packets += 1
-            if link.series is not None:
-                link.series.add_range(start, start + flits)
             head = start + hop_cost
         return stall_total
 

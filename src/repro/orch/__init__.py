@@ -16,8 +16,7 @@ grid into a first-class subsystem:
 * :mod:`graph` -- sweeps (jobs + a pure reduce step) and the deduplicated
   execution plan across several sweeps;
 * :mod:`_pool` -- the multiprocessing scheduler: worker pool, per-job
-  timeout, bounded retry, Ctrl-C cancellation, progress/ETA
-  (``repro.orch.pool`` remains as a deprecated import shim; the
+  timeout, bounded retry, Ctrl-C cancellation, progress/ETA (the
   long-lived service front end over this pool is :mod:`repro.serve`).
 """
 

@@ -217,13 +217,6 @@ class ShardChannel:
         #: Totals for the sync report.
         self.sent = 0
         self.received = 0
-        #: Cross-shard sanitizer ingress state (only populated when a
-        #: sanitizer is attached): the Cell-DRAM word keys foreign
-        #: shards touched here, and the serialization log of served
-        #: foreign AMOs -- the offline stitcher's ground truth for the
-        #: owner-side AMO order.
-        self.inbound_words: set = set()
-        self.served_amos: List[Tuple[float, Coord, int, str]] = []
         machine.memsys.xchannel = self
 
     # -- source side (called from memsys on the remote-op path) ------------
@@ -270,13 +263,13 @@ class ShardChannel:
                    + self._leg(self._req_net, node, dest.node, 1, time)
                    + self._req_net.conservative_latency(node, dest.node, 1))
         seq = self._bump()
-        san = self.memsys._san
-        if san is not None:
+        probe = self.memsys._probe
+        if probe is not None:
             # Issuing-side record for the cross-shard stitcher: the
             # owner-side serialization hook cannot run here (it has no
             # vector clock for this tile), so the issuer snapshots its
             # clock and the coordinator's offline pass does the rest.
-            san.xshard_amo_out(node, dest, kind, seq, time)
+            probe.xshard_amo_out(node, dest, kind, seq, time)
         self.outbox.append(CellAmo(
             seq, req_id, self.cell_xy, dest.cell_xy, node, dest,
             kind, value, arrival))
@@ -339,11 +332,8 @@ class ShardChannel:
                 raise PdesError(f"unknown cross-Cell message {msg!r}")
 
     def _on_request(self, msg: CellRequest) -> None:
-        if self.memsys._san is not None:
-            cx, cy = msg.dest.cell_xy
-            base = msg.dest.mem_addr >> 2
-            for w in range(msg.words):
-                self.inbound_words.add((cx, cy, base + w))
+        if self.memsys._probe is not None:
+            self.memsys._probe.xshard_access_in(msg.dest, msg.words)
         now = self.sim._now
         # Rewind by the zero-load floor: the leg walk then replays the
         # packet from its (conceptual) inject cycle at the source.
@@ -359,11 +349,9 @@ class ShardChannel:
             self.sim._post(ready, self._reply_args, (msg, None))
 
     def _on_amo(self, msg: CellAmo) -> None:
-        if self.memsys._san is not None:
-            cx, cy = msg.dest.cell_xy
-            self.inbound_words.add((cx, cy, msg.dest.mem_addr >> 2))
-            self.served_amos.append(
-                (self.sim._now, msg.src_cell, msg.seq, msg.kind))
+        if self.memsys._probe is not None:
+            self.memsys._probe.xshard_amo_in(
+                msg.dest, self.sim._now, msg.src_cell, msg.seq, msg.kind)
         now = self.sim._now
         now += self._leg(
             self._req_net, msg.src_node, msg.dest.node, msg.flits,

@@ -2,6 +2,7 @@
 
 from .bisection import (
     BisectionStats,
+    LinkSeries,
     cell_bisection,
     horizontal_cut,
     utilization_series,
@@ -28,6 +29,7 @@ __all__ = [
     "vertical_cut",
     "horizontal_cut",
     "cell_bisection",
+    "LinkSeries",
     "utilization_series",
     "BREAKDOWN_ORDER",
     "HBM_ORDER",

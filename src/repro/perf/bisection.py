@@ -2,14 +2,16 @@
 
 Works on the request/response :class:`~repro.noc.network.Network` pair of
 a machine: identifies the links crossing a cut plane and aggregates their
-busy/stall accounting into utilization fractions and time series.
+busy/stall accounting into utilization fractions, and records their
+busy time series through a probe subscriber (:class:`LinkSeries`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
+from ..engine.stats import BinnedSeries
 from ..noc.network import Network
 from ..noc.topology import Link
 
@@ -89,25 +91,34 @@ def cell_bisection(net: Network, tiles_x: int, elapsed: float) -> BisectionStats
     return vertical_cut(net, tiles_x / 2 - 0.5, elapsed)
 
 
-def utilization_series(net: Network, plane_x: float,
-                       normalize: bool = True) -> List[Tuple[float, float]]:
-    """Summed busy time series across the cut's links (Fig 3's y-axis).
+class LinkSeries:
+    """Probe subscriber recording per-link busy time in fixed bins.
 
-    Requires the machine to have been built with ``record_bin_width``.
+    Attach it (:func:`repro.probe.attach`) before the traffic runs;
+    every packet reservation on one of ``links`` adds its occupancy
+    window to that link's :class:`BinnedSeries`.
     """
-    links = net.topology.cut_links_x(plane_x)
+
+    def __init__(self, links: Iterable[Link], bin_width: float) -> None:
+        self.links = list(links)
+        self.bin_width = bin_width
+        self.series: Dict[Link, BinnedSeries] = {
+            link: BinnedSeries(bin_width) for link in self.links}
+
+    def link_reserve(self, link: Link, start: float, flits: int) -> None:
+        series = self.series.get(link)
+        if series is not None:
+            series.add_range(start, start + flits)
+
+
+def utilization_series(recorder: LinkSeries,
+                       normalize: bool = True) -> List[Tuple[float, float]]:
+    """Summed busy time series across the recorded links (Fig 3's y-axis)."""
     merged: Dict[float, float] = {}
-    bin_width: Optional[float] = None
-    for link in links:
-        if link.series is None:
-            raise RuntimeError(
-                "link series not recorded; build the machine with "
-                "record_bin_width set"
-            )
-        bin_width = link.series.bin_width
-        for t, v in link.series.series():
+    for link in recorder.links:
+        for t, v in recorder.series[link].series():
             merged[t] = merged.get(t, 0.0) + v
     if not merged:
         return []
-    capacity = (len(links) * bin_width) if normalize else 1.0
+    capacity = (len(recorder.links) * recorder.bin_width) if normalize else 1.0
     return [(t, v / capacity) for t, v in sorted(merged.items())]

@@ -51,11 +51,9 @@ class PimEngine:
         self.gb: List[float] = [0.0] * config.simd_width
         self.crf: List[Optional[Any]] = [None] * config.crf_entries
         self.counters = Counter()
-        #: Timeline tracer hook (set by :func:`repro.trace.attach`).
-        self._trace = None
-        self._trace_track = 0
-        #: Invariant-checker hook (set by :func:`repro.audit.attach`).
-        self._audit = None
+        #: Observer slot (set by :func:`repro.probe.attach`): bus
+        #: claims, per-bank ops, GRF accesses and one span per command.
+        self._probe = None
 
     @property
     def nbanks(self) -> int:
@@ -102,7 +100,7 @@ class PimEngine:
         of floats for ``RD_MAC`` and ``None`` for every other command.
         """
         ch = self.channel
-        audit = self._audit
+        probe = self._probe
         payload: Any = None
         self.counters.add(cmd.name)
 
@@ -114,8 +112,8 @@ class PimEngine:
             vals = list(cmd.values)[:w]
             vals.extend(0.0 for _ in range(w - len(vals)))
             self.gb = vals
-            if audit is not None:
-                audit.pim_bus(self, cmd.name, bus_start, ch.burst_cycles)
+            if probe is not None:
+                probe.pim_bus(self, cmd.name, bus_start, ch.burst_cycles)
 
         elif isinstance(cmd, WrCrf):
             if not 0 <= cmd.slot < self.config.crf_entries:
@@ -127,16 +125,16 @@ class PimEngine:
             bus_start = span_start = self._claim_bus(time, 1)
             done = bus_start + 1
             self.crf[cmd.slot] = cmd.mop
-            if audit is not None:
-                audit.pim_bus(self, cmd.name, bus_start, 1)
+            if probe is not None:
+                probe.pim_bus(self, cmd.name, bus_start, 1)
 
         elif isinstance(cmd, WrBias):
             self._check_grf(cmd.grf, "WR_BIAS")
             bus_start = span_start = self._claim_bus(time, 1)
             cmd_done = bus_start + 1
             done = cmd_done
-            if audit is not None:
-                audit.pim_bus(self, cmd.name, bus_start, 1)
+            if probe is not None:
+                probe.pim_bus(self, cmd.name, bus_start, 1)
             w = self.config.simd_width
             for bank_idx, unit in enumerate(self.units):
                 bank = ch._banks[bank_idx]
@@ -147,10 +145,10 @@ class PimEngine:
                 unit.written[cmd.grf] = True
                 if start + 1 > done:
                     done = start + 1
-                if audit is not None:
-                    audit.pim_bank_op(self, cmd.name, bank_idx, time, start,
+                if probe is not None:
+                    probe.pim_bank_op(self, cmd.name, bank_idx, time, start,
                                       ready_before, bank.ready_at)
-                    audit.pim_grf(self, cmd.name, bank_idx,
+                    probe.pim_grf(self, cmd.name, bank_idx,
                                   writes=(cmd.grf,))
 
         elif isinstance(cmd, WrSbk):
@@ -172,9 +170,9 @@ class PimEngine:
             if ch.first_request is None:
                 ch.first_request = time
             self.units[cmd.bank].set_row(cmd.row, cmd.values)
-            if audit is not None:
-                audit.pim_bus(self, cmd.name, burst_start, ch.burst_cycles)
-                audit.pim_bank_op(self, cmd.name, cmd.bank, time, start,
+            if probe is not None:
+                probe.pim_bus(self, cmd.name, burst_start, ch.burst_cycles)
+                probe.pim_bank_op(self, cmd.name, cmd.bank, time, start,
                                   ready_before, bank.ready_at,
                                   row=cmd.row, row_state=row_state,
                                   completion=done)
@@ -194,8 +192,8 @@ class PimEngine:
             bus_start = span_start = self._claim_bus(time, 1)
             cmd_done = bus_start + 1
             done = cmd_done
-            if audit is not None:
-                audit.pim_bus(self, cmd.name, bus_start, 1)
+            if probe is not None:
+                probe.pim_bus(self, cmd.name, bus_start, 1)
             t_mac = self.config.t_mac
             if mop.kind == "mac":
                 reads = (mop.dst,)
@@ -214,14 +212,14 @@ class PimEngine:
                     horizon = start - ch.REORDER_WINDOW
                     bank.rows = {r: tt for r, tt in bank.rows.items()
                                  if tt >= horizon}
-                if audit is not None:
-                    audit.pim_grf(self, cmd.name, bank_idx, reads=reads,
+                if probe is not None:
+                    probe.pim_grf(self, cmd.name, bank_idx, reads=reads,
                                   writes=(mop.dst,))
                 self.units[bank_idx].execute(mop, cmd.row, self.gb)
                 if bank_done > done:
                     done = bank_done
-                if audit is not None:
-                    audit.pim_bank_op(self, cmd.name, bank_idx, time, start,
+                if probe is not None:
+                    probe.pim_bank_op(self, cmd.name, bank_idx, time, start,
                                       ready_before, bank.ready_at,
                                       row=cmd.row, row_state=row_state,
                                       completion=bank_done)
@@ -235,8 +233,8 @@ class PimEngine:
             self._check_grf(cmd.grf0 + cmd.count - 1, "RD_MAC")
             bus_cmd = span_start = self._claim_bus(time, 1)
             cmd_done = bus_cmd + 1
-            if audit is not None:
-                audit.pim_bus(self, cmd.name, bus_cmd, 1)
+            if probe is not None:
+                probe.pim_bus(self, cmd.name, bus_cmd, 1)
             bank = ch._banks[cmd.bank]
             ready_before = bank.ready_at
             start = ready_before if ready_before > cmd_done else cmd_done
@@ -250,11 +248,11 @@ class PimEngine:
             ch.read_cycles += data_cycles
             ch._account_pressure(time, burst_start)
             entries = range(cmd.grf0, cmd.grf0 + cmd.count)
-            if audit is not None:
-                audit.pim_bus(self, cmd.name, burst_start, data_cycles)
-                audit.pim_bank_op(self, cmd.name, cmd.bank, time, start,
+            if probe is not None:
+                probe.pim_bus(self, cmd.name, burst_start, data_cycles)
+                probe.pim_bank_op(self, cmd.name, cmd.bank, time, start,
                                   ready_before, bank.ready_at)
-                audit.pim_grf(self, cmd.name, cmd.bank, reads=tuple(entries))
+                probe.pim_grf(self, cmd.name, cmd.bank, reads=tuple(entries))
             unit = self.units[cmd.bank]
             if cmd.reduce:
                 payload = tuple(sum(unit.grf[e]) for e in entries)
@@ -267,10 +265,9 @@ class PimEngine:
 
         if done > ch.last_completion:
             ch.last_completion = done
-        if self._trace is not None:
-            self._trace.complete(
-                self._trace_track, cmd.name, span_start,
-                max(done - span_start, 1), {"cmd": cmd.name})
+        if probe is not None:
+            probe.pim_command(self, cmd.name, span_start,
+                              max(done - span_start, 1))
         return done, payload
 
     def reset(self) -> None:

@@ -1,13 +1,10 @@
 """Host runtime: machines, Cells, tile groups, launches.
 
-The preferred entry point is :class:`repro.Session` /
-:func:`repro.run`; the ``run_on_cell`` family re-exported here is a
-deprecated shim layer (see ``docs/API.md``).
+The entry point is :class:`repro.Session` / :func:`repro.run`.
 """
 
 from . import dma
 from .cell import Cell, LaunchHandle
-from .host import collect_result, run_on_cell, run_on_cells
 from .machine import Machine
 from .memsys import MemorySystem
 from .result import RunResult
@@ -22,7 +19,4 @@ __all__ = [
     "TileGroup",
     "partition_cell",
     "RunResult",
-    "run_on_cell",
-    "run_on_cells",
-    "collect_result",
 ]

@@ -169,12 +169,10 @@ class Cell:
         name = f"{self.kernel.name}@cell{self.cell_xy}"
         handle = LaunchHandle(self, cores, self.machine.sim.now, name=name)
         self._last_handle = handle
-        tracer = self.machine.sim.tracer
-        if tracer is not None:
-            tracer.launch_started(handle)
-        sanitizer = getattr(self.machine.sim, "sanitizer", None)
-        if sanitizer is not None:
-            # Launch is a host -> tiles happens-before edge: everything
-            # the host set up (pokes, DMA) is visible to the kernel.
-            sanitizer.launch_started(handle)
+        probe = self.machine.sim.probe
+        if probe is not None:
+            # A trace span, and a host -> tiles happens-before edge:
+            # everything the host set up (pokes, DMA) is visible to the
+            # kernel.
+            probe.launch_started(handle)
         return handle

@@ -23,7 +23,6 @@ class Machine:
     """
 
     def __init__(self, config: MachineConfig,
-                 record_bin_width: Optional[float] = None,
                  owned_cells: Optional[Iterable[Coord]] = None) -> None:
         self.config = config
         self.sim = Simulator()
@@ -34,7 +33,6 @@ class Machine:
             if bad:
                 raise ValueError(f"owned_cells not on this chip: {sorted(bad)}")
         self.memsys = MemorySystem(self.sim, config,
-                                   record_bin_width=record_bin_width,
                                    owned_cells=self.owned_cells)
         self.cells: Dict[Coord, Cell] = {
             xy: Cell(self, xy) for xy in config.chip.cells()

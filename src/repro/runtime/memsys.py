@@ -37,7 +37,6 @@ class MemorySystem:
     """Shared memory/network fabric for one machine."""
 
     def __init__(self, sim: Simulator, config: MachineConfig,
-                 record_bin_width: Optional[float] = None,
                  owned_cells: Optional[FrozenSet[Coord]] = None) -> None:
         self.sim = sim
         self.config = config
@@ -49,11 +48,9 @@ class MemorySystem:
             grid_cells=config.global_grid,
         )
         self.req_net = Network(chip, timings.noc, ruche=feats.ruche_network,
-                               order="xy", name="req",
-                               record_bin_width=record_bin_width)
+                               order="xy", name="req")
         self.resp_net = Network(chip, timings.noc, ruche=feats.ruche_network,
-                                order="yx", name="resp",
-                                record_bin_width=record_bin_width)
+                                order="yx", name="resp")
         self.hbm: Dict[Coord, PseudoChannel] = {}
         #: PIM engines, one per owned Cell's pseudo-channel; empty unless
         #: the config carries a ``pim`` block (zero state when off).
@@ -68,9 +65,9 @@ class MemorySystem:
         # The translator's memo dict, aliased for an inline probe (its
         # capacity flush uses clear(), so the object identity is stable).
         self._tmemo = self.translator._memo
-        #: Race-checker hook (set by :func:`repro.sanitize.attach`):
-        #: observes AMO bank serialization and host poke/peek accesses.
-        self._san: Optional[Any] = None
+        #: Observer slot (set by :func:`repro.probe.attach`): AMO bank
+        #: serialization and host poke/peek accesses.
+        self._probe: Optional[Any] = None
         #: PDES sharding: the Cells whose banks/SPMs this memory system
         #: actually serves (``None`` = all of them, the monolithic case).
         self.owned_cells = owned_cells
@@ -198,10 +195,10 @@ class MemorySystem:
     def _serve_amo(self, args) -> None:
         dest, node, kind, value, done = args
         arrival = self.sim._now
-        if self._san is not None:
+        if self._probe is not None:
             # The AMO's functional point: this event order *is* the
             # architectural serialization order the checker models.
-            self._san.amo_serialized(node, dest, arrival)
+            self._probe.amo_serialized(node, dest, arrival)
         old = self._amo_execute(dest, kind, value)
         bank = self.banks[(dest.cell_xy, dest.bank_index)]
         ready = bank.access_timed(dest.mem_addr, is_write=False,
@@ -355,15 +352,15 @@ class MemorySystem:
 
     def poke(self, addr: int, value: int, node: Coord) -> None:
         """Host-side functional write to atomic memory (no timing)."""
-        if self._san is not None:
-            self._san.host_write(addr, node)
+        if self._probe is not None:
+            self._probe.host_write(addr, node)
         dest = self.translator.translate(addr, node)
         self._check_owned(dest)
         self.atomic_mem[self._canonical(dest)] = value
 
     def peek(self, addr: int, node: Coord) -> int:
-        if self._san is not None:
-            self._san.host_read(addr, node)
+        if self._probe is not None:
+            self._probe.host_read(addr, node)
         dest = self.translator.translate(addr, node)
         self._check_owned(dest)
         return self.atomic_mem.get(self._canonical(dest), 0)

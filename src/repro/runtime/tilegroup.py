@@ -69,16 +69,10 @@ def partition_cell(sim: Simulator, cell: CellGeometry, cell_origin: Coord,
                 )
             else:
                 barrier = SwBarrierGroup(sim, members)
-            tracer = sim.tracer
-            if tracer is not None:
-                barrier._trace = tracer
-                barrier._trace_track = tracer.track(
-                    "runtime", f"barrier cell{cell_origin} g{index}")
-            sanitizer = getattr(sim, "sanitizer", None)
-            if sanitizer is not None:
-                barrier._san = sanitizer
-                sanitizer.register_barrier(
-                    barrier, f"cell{cell_origin} g{index}")
+            probe = sim.probe
+            if probe is not None:
+                barrier._probe = probe
+                probe.barrier_created(barrier, f"cell{cell_origin} g{index}")
             groups.append(TileGroup(
                 index=index, origin=(gx * gw, gy * gh),
                 shape=(gw, gh), members=members, barrier=barrier,

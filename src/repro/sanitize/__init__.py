@@ -22,7 +22,6 @@ checker enforces.
 
 from .checker import Finding, SanitizeConfig, Sanitizer
 from .fixture import DEADLOCK_FIXTURE, FIXTURE, fixture_args
-from .instrument import attach
 from .report import format_report, sanitize_report
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "Finding",
     "SanitizeConfig",
     "Sanitizer",
-    "attach",
     "fixture_args",
     "format_report",
     "sanitize_report",

@@ -1,13 +1,11 @@
 """The happens-before engine behind ``repro sanitize``.
 
-A :class:`Sanitizer` is a passive observer wired into a live machine by
-:func:`repro.sanitize.attach` (the ``Session(sanitize=True)`` path).
-Components carry a ``_san`` attribute that defaults to ``None``; every
-hot path guards its notification behind one ``is not None`` check, so a
-sanitize-off run executes the seed's exact instruction stream and cycle
-counts (the golden tests pin this).  The sanitizer never schedules
-events or touches component state -- sanitize-on runs are also
-cycle-identical to sanitize-off runs.
+A :class:`Sanitizer` is a passive :mod:`repro.probe` subscriber (the
+``Session(sanitize=True)`` path): it receives the tiles' memory and
+synchronization events, the memory system's AMO serializations and host
+accesses, and the barrier groups and launch edges wired at launch.  It
+never schedules events or touches component state -- sanitize-on runs
+are cycle-identical to sanitize-off runs (the golden tests pin this).
 
 The model (documented for users in ``docs/MODEL.md``):
 
@@ -219,8 +217,13 @@ class Sanitizer:
         self._xshard_cell: Optional[Tuple[int, int]] = None
         self._out_amos: List[Dict[str, Any]] = []
         self._sync_log: List[Dict[str, Any]] = []
+        #: Owner-side ingress (PDES): the Cell-DRAM word keys foreign
+        #: shards touched here, and the serialization log of the foreign
+        #: AMOs served -- the stitcher's ground truth for owner-side order.
+        self._inbound_words: set = set()
+        self._served_amos: List[Tuple[float, Tuple[int, int], int, str]] = []
 
-    # -- wiring (see sanitize/instrument.py) --------------------------------
+    # -- wiring (called by repro.probe) -------------------------------------
 
     def bind(self, machine: Any) -> None:
         """Build the thread table for ``machine``'s tiles (host is 0)."""
@@ -235,7 +238,7 @@ class Sanitizer:
         self._pending_pim = [[] for _ in range(n)]
         self._amo_ops = [None] * n
 
-    def register_barrier(self, group: Any, label: str) -> None:
+    def barrier_created(self, group: Any, label: str) -> None:
         """Track a barrier group for end-of-run deadlock checks."""
         self._barriers.append((group, label))
 
@@ -461,7 +464,7 @@ class Sanitizer:
         The functional serialization happens at the *owning* shard, whose
         checker has no vector clock for this tile -- so neither side can
         check it live.  Instead the issuer snapshots its clock here, the
-        owner logs the serialization order (the channel's ``served_amos``),
+        owner logs the serialization order (:meth:`xshard_amo_in`),
         and the coordinator's offline stitcher replays both.
         """
         tid = self._tids[node]
@@ -545,7 +548,7 @@ class Sanitizer:
         pend = self._barrier_pending.setdefault(id(group), {})
         pend[tid] = list(self._clocks[tid])
 
-    def barrier_release(self, group: Any) -> None:
+    def barrier_release(self, group: Any, time: float) -> None:
         pend = self._barrier_pending.pop(id(group), None)
         if not pend:
             return
@@ -654,15 +657,24 @@ class Sanitizer:
             "desc": _describe(acc),
         }
 
-    def export_xshard(self, inbound_words: Any,
-                      served_amos: Any) -> Dict[str, Any]:
+    def xshard_access_in(self, dest: Any, words: int) -> None:
+        """A foreign shard's request reached ``words`` words at ``dest``."""
+        cx, cy = dest.cell_xy
+        base = dest.mem_addr >> 2
+        for w in range(words):
+            self._inbound_words.add((cx, cy, base + w))
+
+    def xshard_amo_in(self, dest: Any, time: float, src_cell: Any, seq: int,
+                      kind: str) -> None:
+        """A foreign shard's AMO serialized here at ``time``."""
+        self.xshard_access_in(dest, 1)
+        self._served_amos.append((time, src_cell, seq, kind))
+
+    def export_xshard(self) -> Dict[str, Any]:
         """The shard's deterministic contribution to the offline
         cross-shard happens-before pass.
 
-        ``inbound_words`` / ``served_amos`` come from the shard's
-        :class:`~repro.pdes.channel.ShardChannel` (the owner side knows
-        which of its words foreigners touched, and in what order it
-        serialized their AMOs).  Exported are the shadow's surviving
+        Exported are the shadow's surviving
         access records on foreign-Cell words (this shard's outbound
         traffic) and on own-Cell words foreigners touched -- last write
         plus last read per tile, the same granularity the live checker
@@ -671,7 +683,7 @@ class Sanitizer:
         cell = self._xshard_cell
         foreign: List[Dict[str, Any]] = []
         home: List[Dict[str, Any]] = []
-        inbound = set(inbound_words)
+        inbound = self._inbound_words
         for key, word in sorted(self._shadow.items()):
             if key[0] != "D":
                 continue
@@ -693,7 +705,7 @@ class Sanitizer:
             "out_amos": list(self._out_amos),
             "sync_log": list(self._sync_log),
             "served_amos": [[t, list(src), seq, kind]
-                            for t, src, seq, kind in served_amos],
+                            for t, src, seq, kind in self._served_amos],
         }
 
     # -- end of run ----------------------------------------------------------

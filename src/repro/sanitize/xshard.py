@@ -12,7 +12,7 @@ graphs through the cross-Cell channel's own synchronization points:
 * cross-Cell AMOs -- the only cross-shard release/acquire primitive --
   are exported twice: the issuer snapshots its clock at issue
   (``Sanitizer.xshard_amo_out``), and the owner logs the serialization
-  order and time (``ShardChannel.served_amos``);
+  order and time (``Sanitizer.xshard_amo_in``);
 * this pass replays all AMO serializations (cross-Cell and Cell-local)
   in one global time order, building a *composite clock* per atomic
   word: a ``{cell -> vector clock}`` map that accumulates every clock

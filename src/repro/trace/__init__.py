@@ -10,13 +10,11 @@ Usage (through the public :class:`repro.Session` facade)::
     session.trace.write_chrome("trace.json")   # open in ui.perfetto.dev
     print(session.trace.summary())
 
-Everything here is zero-cost when off: components carry ``_trace``
-attributes that default to ``None`` and hot paths guard emissions behind
-a single ``is not None`` check, so untraced runs are bit-identical in
-cycles to the seed (golden tests pin this).
+A :class:`Trace` is a :mod:`repro.probe` subscriber; everything here is
+zero-cost when off (untraced runs are bit-identical in cycles to the
+seed; golden tests pin this).
 """
 
-from .instrument import attach
 from .metrics import MetricSeries, MetricsRegistry
 from .perfetto import to_chrome, validate_chrome, write_chrome
 from .report import format_report, trace_report
@@ -25,7 +23,6 @@ from .tracer import Trace, TraceConfig
 __all__ = [
     "Trace",
     "TraceConfig",
-    "attach",
     "MetricsRegistry",
     "MetricSeries",
     "to_chrome",

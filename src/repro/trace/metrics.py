@@ -3,7 +3,7 @@
 Components (or :func:`repro.trace.attach`) register zero-argument
 callables that read a live quantity -- queue depth, MSHR occupancy, link
 busy-cycles, hit rate.  The registry samples every series once per
-``window`` cycles, driven by :meth:`Trace.engine_tick` from the event
+``window`` cycles, driven by :meth:`Trace.engine_event` from the event
 loop (passively: no sampler events enter the queue, so sampling cannot
 perturb simulated timing).
 
@@ -78,7 +78,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self.series: List[MetricSeries] = []
         self._by_key: Dict[str, MetricSeries] = {}
-        #: Next sample boundary; ``Trace.engine_tick`` compares against it.
+        #: Next sample boundary; ``Trace.engine_event`` compares against it.
         self.next_at: float = window if enabled else float("inf")
 
     def register(self, group: str, name: str, fn: Callable[[], float],

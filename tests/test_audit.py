@@ -10,7 +10,6 @@ from repro.arch.params import CacheTiming, HBMTiming, NocTiming
 from repro.audit import (
     AuditConfig,
     Auditor,
-    attach,
     audit_report,
     format_report,
 )
@@ -20,6 +19,7 @@ from repro.mem.cache import CacheBank
 from repro.mem.hbm import PseudoChannel
 from repro.noc.network import Network
 from repro.noc.wormhole import WormholeStrip
+from repro.probe import AttachError, Probe, attach
 from repro.sanitize import FIXTURE, fixture_args
 from repro.session import Session, run
 
@@ -36,7 +36,7 @@ def make_bank(sim, auditor=None, sets=4, ways=2, mshrs=4,
     bank = CacheBank(sim, timing, hbm, strip, bank_x=0,
                      write_validate=write_validate)
     if auditor is not None:
-        bank._audit = auditor
+        bank._probe = Probe(auditor)
         auditor.watch_bank(bank)
     return bank
 
@@ -44,7 +44,7 @@ def make_bank(sim, auditor=None, sets=4, ways=2, mshrs=4,
 def make_channel(auditor=None):
     channel = PseudoChannel(HBMTiming())
     if auditor is not None:
-        channel._audit = auditor
+        channel._probe = Probe(auditor)
         auditor.watch_channel(channel)
     return channel
 
@@ -53,8 +53,7 @@ def make_net(auditor=None, ruche=False):
     chip = ChipGeometry(CellGeometry(8, 4), cells_x=1, cells_y=1)
     net = Network(chip, NocTiming(), ruche=ruche, order="xy")
     if auditor is not None:
-        net._audit = auditor
-        auditor.watch_network(net)
+        net._probe = Probe(auditor)
     return net
 
 
@@ -96,11 +95,11 @@ class TestSessionSurface:
     def test_audit_off_costs_nothing(self, tiny_config):
         session = Session(tiny_config)
         assert session.auditor is None
-        assert session.machine.sim.audit is None
+        assert session.machine.sim.probe is None
 
     def test_double_attach_rejected(self, tiny_config):
         session = Session(tiny_config, audit=True)
-        with pytest.raises(RuntimeError, match="already has an auditor"):
+        with pytest.raises(AttachError, match="already has a probe"):
             attach(session.machine, Auditor())
 
 
@@ -292,7 +291,7 @@ class TestStripInvariants:
     def test_clean_transfers_are_clean(self):
         auditor = Auditor()
         strip = WormholeStrip(num_banks=4)
-        strip._audit = auditor
+        strip._probe = Probe(auditor)
         auditor.watch_strip(strip)
         t = 0.0
         for i in range(16):

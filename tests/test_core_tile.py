@@ -2,16 +2,16 @@
 
 import pytest
 
+import repro
 from repro.arch.config import FeatureSet, small_config
 from repro.core import stall as st
 from repro.isa.program import kernel
-from repro.runtime.host import run_on_cell
 from repro.runtime.machine import Machine
 
 
 def run_single(kern, args=None, features=None, tiles=(2, 2)):
     cfg = small_config(*tiles, features=features)
-    return run_on_cell(cfg, kern, args)
+    return repro.run(cfg, kern, args)
 
 
 def single_core_counters(kern, args=None, features=None):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.arch.config import FeatureSet, MachineConfig, small_config
 from repro.arch.geometry import CellGeometry
 from repro.isa.program import kernel
 from repro.kernels.base import num_tiles, range_split, sync, tile_id
-from repro.runtime.host import run_on_cell, run_on_cells
 from repro.runtime.machine import Machine
 
 
@@ -62,10 +62,10 @@ class TestProducerConsumer:
             yield t.barrier()
 
         cfg = MachineConfig(name="pc", cell=CellGeometry(2, 2), cells_x=2)
-        results = run_on_cells(cfg, [
-            ((0, 0), spin, {"n": 10}),
-            ((1, 0), spin, {"n": 1000}),
-        ])
+        session = repro.Session(cfg)
+        session.launch(spin, {"n": 10}, cell=(0, 0))
+        session.launch(spin, {"n": 1000}, cell=(1, 0))
+        results = session.run()
         assert results[1].cycles > results[0].cycles
 
 
@@ -87,7 +87,7 @@ class TestGroupSpmPatterns:
                 yield t.alu(t.reg(), [ld.dst])
             yield from sync(t)
 
-        res = run_on_cell(small_config(4, 4), ring, keep_machine=True)
+        res = repro.run(small_config(4, 4), ring, keep_machine=True)
         spms = res.machine.memsys.spms
         # Three of four columns read a neighbour: 12 remote reads total.
         reads = sum(s.counters.get("reads") for s in spms.values())
@@ -114,7 +114,7 @@ class TestGroupSpmPatterns:
             yield from sync(t)
             log.setdefault("done", []).append(t.group_rank)
 
-        res = run_on_cell(small_config(4, 4), systolic)
+        res = repro.run(small_config(4, 4), systolic)
         assert len(log["done"]) == 16
         assert res.cycles > 0
 
@@ -200,5 +200,5 @@ class TestRobustness:
 
         for field in dataclasses.fields(FeatureSet):
             feats = FeatureSet(**{field.name: False})
-            res = run_on_cell(small_config(2, 2, features=feats), mixed)
+            res = repro.run(small_config(2, 2, features=feats), mixed)
             assert res.cycles > 0, field.name

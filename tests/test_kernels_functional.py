@@ -8,10 +8,10 @@ run them on a small machine and check against host references.
 import numpy as np
 import pytest
 
+import repro
 from repro.arch.config import small_config
 from repro.kernels import bfs, pagerank, smithwaterman, spgemm
 from repro.kernels.registry import SUITE, fast_args
-from repro.runtime.host import run_on_cell
 from repro.workloads.graphs import roadnet_like, wiki_vote_like
 
 
@@ -24,21 +24,21 @@ class TestBfsFunctional:
     def test_distances_match_reference(self, cfg):
         graph = roadnet_like(width=10, height=10)
         args = bfs.make_args(graph=graph, source=0)
-        run_on_cell(cfg, bfs.KERNEL, args)
+        repro.run(cfg, bfs.KERNEL, args)
         expected = bfs.reference_bfs(graph, 0)
         assert np.array_equal(args["state"]["distance"], expected)
 
     def test_distances_match_on_power_law(self, cfg):
         graph = wiki_vote_like(scale=0.1)
         args = bfs.make_args(graph=graph, source=1)
-        run_on_cell(cfg, bfs.KERNEL, args)
+        repro.run(cfg, bfs.KERNEL, args)
         expected = bfs.reference_bfs(graph, 1)
         assert np.array_equal(args["state"]["distance"], expected)
 
     def test_unreachable_stay_minus_one(self, cfg):
         graph = roadnet_like(width=8, height=8, drop=0.5)
         args = bfs.make_args(graph=graph, source=0)
-        run_on_cell(cfg, bfs.KERNEL, args)
+        repro.run(cfg, bfs.KERNEL, args)
         expected = bfs.reference_bfs(graph, 0)
         assert np.array_equal(args["state"]["distance"] < 0, expected < 0)
 
@@ -53,7 +53,7 @@ class TestBfsFunctional:
 class TestSmithWatermanFunctional:
     def test_scores_match_reference(self, cfg):
         args = smithwaterman.make_args(query_len=8, ref_len=10, tiles=16)
-        run_on_cell(cfg, smithwaterman.KERNEL, args)
+        repro.run(cfg, smithwaterman.KERNEL, args)
         computed = args["computed_scores"]
         assert len(computed) == 16
         for pair, score in computed.items():
@@ -85,7 +85,7 @@ class TestPageRankReference:
 class TestWorkDistribution:
     def test_spgemm_processes_every_row_once(self, cfg):
         args = spgemm.make_args(scale=0.1)
-        res = run_on_cell(cfg, spgemm.KERNEL, args, keep_machine=True)
+        res = repro.run(cfg, spgemm.KERNEL, args, keep_machine=True)
         n = args["matrix"].num_rows
         counter_val = res.machine.cell(0, 0).peek(args["counters"])
         # Counter overshoots by at most one grab per tile.
@@ -93,13 +93,13 @@ class TestWorkDistribution:
 
     def test_all_kernels_complete_on_tiny_machine(self, cfg):
         for name, bench in SUITE.items():
-            res = run_on_cell(cfg, bench.kernel, fast_args(name, tiles=16))
+            res = repro.run(cfg, bench.kernel, fast_args(name, tiles=16))
             assert res.cycles > 0, name
             assert res.instructions > 0, name
 
     def test_all_kernels_deterministic(self, cfg):
         for name in ("AES", "SpGEMM", "BH"):
             bench = SUITE[name]
-            a = run_on_cell(cfg, bench.kernel, fast_args(name, tiles=16))
-            b = run_on_cell(cfg, bench.kernel, fast_args(name, tiles=16))
+            a = repro.run(cfg, bench.kernel, fast_args(name, tiles=16))
+            b = repro.run(cfg, bench.kernel, fast_args(name, tiles=16))
             assert a.cycles == b.cycles, name

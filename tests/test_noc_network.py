@@ -5,6 +5,8 @@ import pytest
 from repro.arch.geometry import CellGeometry, ChipGeometry
 from repro.arch.params import NocTiming
 from repro.noc.network import Network
+from repro.perf.bisection import LinkSeries
+from repro.probe import Probe
 
 
 @pytest.fixture
@@ -107,14 +109,14 @@ class TestRuchePlane:
 
 
 class TestSeriesRecording:
-    def test_series_recorded_when_enabled(self, chip):
-        net = Network(chip, NocTiming(), ruche=False, order="xy",
-                      record_bin_width=8)
-        net.send((0, 0), (3, 0), flits=2, time=0)
+    def test_series_recorded_when_enabled(self, net):
         link = net.topology.link((0, 0), (1, 0))
-        assert link.series is not None
-        assert sum(v for _t, v in link.series.series()) == pytest.approx(2)
+        recorder = LinkSeries([link], bin_width=8)
+        net._probe = Probe(recorder)
+        net.send((0, 0), (3, 0), flits=2, time=0)
+        series = recorder.series[link].series()
+        assert sum(v for _t, v in series) == pytest.approx(2)
 
     def test_series_absent_by_default(self, net):
-        link = net.topology.link((0, 0), (1, 0))
-        assert link.series is None
+        assert net._probe is None
+        assert not hasattr(net.topology.link((0, 0), (1, 0)), "series")

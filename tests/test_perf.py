@@ -7,6 +7,7 @@ from repro.arch.params import NocTiming
 from repro.noc.network import Network
 from repro.perf.bisection import (
     BisectionStats,
+    LinkSeries,
     cell_bisection,
     utilization_series,
     vertical_cut,
@@ -18,13 +19,20 @@ from repro.perf.report import (
     format_table,
     speedup_table,
 )
+from repro.probe import Probe
 
 
 @pytest.fixture
 def net():
     chip = ChipGeometry(CellGeometry(8, 4), 1, 1)
-    return Network(chip, NocTiming(), ruche=True, order="xy",
-                   record_bin_width=16)
+    return Network(chip, NocTiming(), ruche=True, order="xy")
+
+
+@pytest.fixture
+def recorder(net):
+    series = LinkSeries(net.topology.cut_links_x(3.5), bin_width=16)
+    net._probe = Probe(series)
+    return series
 
 
 class TestBisection:
@@ -53,18 +61,18 @@ class TestBisection:
         stats = cell_bisection(net, 8, elapsed=1)
         assert stats.num_links == 8 * (4 + 2)  # 6 rows... see below
 
-    def test_utilization_series_mass(self, net):
+    def test_utilization_series_mass(self, net, recorder):
         for i in range(10):
             net.send((0, 1), (7, 1), 1, i)
-        series = utilization_series(net, 3.5, normalize=False)
+        series = utilization_series(recorder, normalize=False)
         assert sum(v for _t, v in series) > 0
 
     def test_series_requires_recording(self):
         chip = ChipGeometry(CellGeometry(8, 4), 1, 1)
         bare = Network(chip, NocTiming(), ruche=False, order="xy")
+        unattached = LinkSeries(bare.topology.cut_links_x(3.5), bin_width=16)
         bare.send((0, 1), (7, 1), 1, 0)
-        with pytest.raises(RuntimeError):
-            utilization_series(bare, 3.5)
+        assert utilization_series(unattached) == []
 
     def test_stall_fraction_rises_under_saturation(self, net):
         light = vertical_cut(net, 3.5, elapsed=10)

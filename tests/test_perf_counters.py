@@ -8,7 +8,7 @@ from repro.perf.counters import (
     ordered_breakdown,
     speedups,
 )
-from repro.runtime.host import RunResult
+from repro.runtime.result import RunResult
 
 
 def make_result(cycles=100.0, tiles=4, breakdown=None, instr=50.0):

@@ -13,6 +13,7 @@ from repro.mem.hbm import PseudoChannel
 from repro.pim import PimConfig, PimEngine
 from repro.pim.commands import MacAbk, MicroOp, RdMac, WrBias, WrCrf, WrGb
 from repro.pim.kernels import OFFLOADS, lcg_values
+from repro.probe import Probe
 from repro.runtime.machine import Machine
 from repro.session import run
 
@@ -174,9 +175,10 @@ class TestAuditInvariants:
     def _watched(self, banks=2):
         engine, channel = _engine(banks=banks)
         auditor = Auditor()
-        channel._audit = auditor
+        probe = Probe(auditor)
+        channel._probe = probe
         auditor.watch_channel(channel)
-        engine._audit = auditor
+        engine._probe = probe
         auditor.watch_pim(engine)
         return engine, channel, auditor
 

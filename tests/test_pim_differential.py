@@ -21,6 +21,7 @@ from repro.mem.hbm import PseudoChannel
 from repro.pim import PimConfig, PimEngine, RefPimBank
 from repro.pim.commands import (MacAbk, MicroOp, RdMac, WrBias, WrCrf,
                                 WrGb, WrSbk)
+from repro.probe import Probe
 
 BANKS = 4
 GRF, CRF, W = 4, 4, 4
@@ -78,9 +79,10 @@ def _build():
     engine = PimEngine(config, channel)
     ref = RefPimBank(timing, config)
     auditor = Auditor()
-    channel._audit = auditor
+    probe = Probe(auditor)
+    channel._probe = probe
     auditor.watch_channel(channel)
-    engine._audit = auditor
+    engine._probe = probe
     auditor.watch_pim(engine)
     # Program every CRF slot and preset every accumulator so any
     # MAC_ABK / RD_MAC the stream draws is well-defined in both models.

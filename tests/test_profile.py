@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.arch.config import small_config
 from repro.isa.program import kernel
 from repro.kernels.registry import SUITE, fast_args
@@ -13,7 +14,6 @@ from repro.profile import (
     tile_finish_map,
     tile_utilization_map,
 )
-from repro.runtime.host import run_on_cell
 
 
 @pytest.fixture(scope="module")
@@ -23,14 +23,14 @@ def cfg():
 
 class TestDiagnose:
     def test_compute_kernel_diagnosed_compute_bound(self, cfg):
-        res = run_on_cell(cfg, SUITE["SW"].kernel, fast_args("SW"))
+        res = repro.run(cfg, SUITE["SW"].kernel, fast_args("SW"))
         d = diagnose(res)
         assert d.verdict in ("compute-bound", "FP-pipeline-bound",
                              "frontend-bound")
         assert d.findings and d.suggestions
 
     def test_memory_kernel_diagnosed_memory_bound(self, cfg):
-        res = run_on_cell(cfg, SUITE["PR"].kernel, fast_args("PR"))
+        res = repro.run(cfg, SUITE["PR"].kernel, fast_args("PR"))
         d = diagnose(res)
         assert "memory" in d.verdict or "synchronization" in d.verdict
 
@@ -44,14 +44,14 @@ class TestDiagnose:
             yield t.fence()
             yield t.barrier()
 
-        res = run_on_cell(cfg, chase)
+        res = repro.run(cfg, chase)
         d = diagnose(res)
         assert "memory" in d.verdict
         if "underutilized" in d.verdict:
             assert any("unroll" in s for s in d.suggestions)
 
     def test_render_is_text(self, cfg):
-        res = run_on_cell(cfg, SUITE["AES"].kernel, fast_args("AES"))
+        res = repro.run(cfg, SUITE["AES"].kernel, fast_args("AES"))
         text = diagnose(res).render()
         assert "verdict:" in text
         assert "suggestions:" in text
@@ -69,8 +69,8 @@ class TestHeatmaps:
         assert "|  |" in text
 
     def test_tile_maps_cover_tiles(self, cfg):
-        res = run_on_cell(cfg, SUITE["AES"].kernel, fast_args("AES"),
-                          keep_machine=True)
+        res = repro.run(cfg, SUITE["AES"].kernel, fast_args("AES"),
+                        keep_machine=True)
         util = tile_utilization_map(res.machine)
         finish = tile_finish_map(res.machine)
         assert len(util) == 16
@@ -78,22 +78,22 @@ class TestHeatmaps:
         assert all(0 <= v <= 1 for v in util.values())
 
     def test_cell_report_metrics(self, cfg):
-        res = run_on_cell(cfg, SUITE["SpGEMM"].kernel, fast_args("SpGEMM"),
-                          keep_machine=True)
+        res = repro.run(cfg, SUITE["SpGEMM"].kernel, fast_args("SpGEMM"),
+                        keep_machine=True)
         for metric in ("utilization", "finish", "bank_accesses",
                        "router_load"):
             text = cell_report(res.machine, metric)
             assert metric in text
 
     def test_cell_report_rejects_unknown(self, cfg):
-        res = run_on_cell(cfg, SUITE["AES"].kernel, fast_args("AES"),
-                          keep_machine=True)
+        res = repro.run(cfg, SUITE["AES"].kernel, fast_args("AES"),
+                        keep_machine=True)
         with pytest.raises(ValueError):
             cell_report(res.machine, "temperature")
 
     def test_full_report(self, cfg):
-        res = run_on_cell(cfg, SUITE["BH"].kernel, fast_args("BH"),
-                          keep_machine=True)
+        res = repro.run(cfg, SUITE["BH"].kernel, fast_args("BH"),
+                        keep_machine=True)
         text = full_report(res.machine)
         assert text.count("peak=") == 4
 
@@ -103,8 +103,8 @@ class TestHeatmaps:
         from repro.profile import bank_access_map
 
         cfg = small_config(4, 4, features=FeatureSet(ipoly_hashing=False))
-        res = run_on_cell(cfg, SUITE["BH"].kernel, fast_args("BH"),
-                          keep_machine=True)
+        res = repro.run(cfg, SUITE["BH"].kernel, fast_args("BH"),
+                        keep_machine=True)
         accesses = list(bank_access_map(res.machine).values())
         top = max(accesses)
         mean = sum(accesses) / len(accesses)

@@ -11,6 +11,7 @@ from repro.kernels import registry
 from repro.kernels.base import tile_id
 from repro.noc.barrier import HwBarrierGroup, SwBarrierGroup
 from repro.pgas import spaces
+from repro.probe import Probe
 from repro.sanitize import (
     DEADLOCK_FIXTURE,
     FIXTURE,
@@ -141,7 +142,7 @@ class TestBarrierMisuse:
         san.bind(tiny_machine)
         members = sorted(tiny_machine.cores)[:4]
         group = HwBarrierGroup(tiny_machine.sim, members, BarrierTiming())
-        group._san = san
+        group._probe = Probe(san)
         with pytest.raises(ValueError):
             group.arrive((99, 99), 0.0)
         assert san.counts.get("barrier-non-member") == 1

@@ -9,7 +9,6 @@ import json
 import os
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -435,40 +434,9 @@ class TestCacheDirEnv:
         assert record["payload"] == env["payload"]
 
 
-# --- the deprecated orch.pool shim ----------------------------------------
+# --- the public surface --------------------------------------------------
 
-class TestPoolShim:
-    def test_import_warns_and_points_at_replacements(self):
-        import repro.orch.pool as pool_shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_jobs = pool_shim.run_jobs
-        assert run_jobs is repro.orch.run_jobs
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("repro.orch.pool is deprecated" in m for m in messages)
-        assert any("repro.serve" in m for m in messages)
-
-    def test_warning_lands_on_caller(self):
-        """stacklevel=2: the warning blames this file, not the shim."""
-        import repro.orch.pool as pool_shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pool_shim.JobOutcome
-        dep = [w for w in caught
-               if issubclass(w.category, DeprecationWarning)]
-        assert dep and dep[0].filename == __file__
-
-    def test_unknown_names_still_raise(self):
-        import repro.orch.pool as pool_shim
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(AttributeError):
-                pool_shim.does_not_exist
-
+class TestPublicSurface:
     def test_public_surface_exports_serve_names(self):
         assert repro.Client is Client
         assert repro.ServeConfig is ServeConfig

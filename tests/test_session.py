@@ -1,13 +1,12 @@
 """The Session facade: parity with the legacy path, multi-launch, tracing."""
 
-import warnings
-
 import pytest
 
 import repro
 from repro.arch.config import small_config
 from repro.kernels import registry
-from repro.session import Session, run
+from repro.runtime.machine import Machine
+from repro.session import Session, collect, run
 
 
 def _tiny(name):
@@ -19,12 +18,14 @@ class TestOneShotRun:
     def test_matches_legacy_run_on_cell(self, tiny_config):
         kernel, args = _tiny("AES")
         new = run(tiny_config, kernel, args)
+        # The legacy drive order, spelled out on a bare Machine.
         kernel, args = _tiny("AES")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.runtime.host import run_on_cell
-
-            old = run_on_cell(tiny_config, kernel, args)
+        machine = Machine(tiny_config)
+        cell = machine.cell(0, 0)
+        cell.load_kernel(kernel)
+        handle = cell.launch(args)
+        cycles = machine.run_to_completion([handle])
+        old = collect(machine, handle, cycles, kernel.name)
         assert new.cycles == old.cycles
         assert new.instructions == old.instructions
         assert new.core_breakdown == old.core_breakdown
@@ -94,7 +95,7 @@ class TestSession:
     def test_trace_flag_attaches_tracer(self, tiny_config):
         session = Session(tiny_config, trace=True)
         assert session.trace is not None
-        assert session.sim.tracer is session.trace
+        assert session.sim.probe.tile_stall == session.trace.tile_stall
         kernel, args = _tiny("AES")
         session.launch(kernel, args)
         result, = session.run()
@@ -103,50 +104,5 @@ class TestSession:
     def test_untraced_session_has_no_tracer(self, tiny_config):
         session = Session(tiny_config)
         assert session.trace is None
-        assert session.sim.tracer is None
+        assert session.sim.probe is None
 
-
-class TestLegacyShims:
-    def test_run_on_cell_warns_and_matches(self, tiny_config):
-        from repro.runtime.host import run_on_cell
-
-        kernel, args = _tiny("AES")
-        with pytest.warns(DeprecationWarning, match="run_on_cell"):
-            old = run_on_cell(tiny_config, kernel, args)
-        kernel, args = _tiny("AES")
-        assert old.cycles == run(tiny_config, kernel, args).cycles
-
-    def test_run_on_cells_warns(self, tiny_config):
-        from repro.runtime.host import run_on_cells
-
-        kernel, args = _tiny("AES")
-        with pytest.warns(DeprecationWarning, match="run_on_cells"):
-            results = run_on_cells(tiny_config, [((0, 0), kernel, args)])
-        assert len(results) == 1
-
-    def test_warning_points_at_callers_file(self, tiny_config):
-        # stacklevel=2: the warning must name THIS file (the code that
-        # needs migrating), not host.py or some helper inside it.
-        from repro.runtime.host import run_on_cell
-
-        kernel, args = _tiny("AES")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_on_cell(tiny_config, kernel, args)
-        hits = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "run_on_cell" in str(w.message)]
-        assert hits
-        assert hits[0].filename == __file__
-
-    def test_collect_result_warns(self, tiny_config):
-        from repro.runtime.host import collect_result
-
-        session = Session(tiny_config)
-        kernel, args = _tiny("AES")
-        handle = session.launch(kernel, args)
-        session.machine.run_to_completion([handle])
-        with pytest.warns(DeprecationWarning, match="collect_result"):
-            result = collect_result(session.machine, handle,
-                                    handle.cycles(), "AES")
-        assert result.cycles == handle.cycles()
