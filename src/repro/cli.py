@@ -529,7 +529,7 @@ def _server_outcomes(server: str, plan, *, use_cache: bool,
     """Run a plan through a serve daemon; outcomes align with
     ``plan.unique_jobs`` and carry the server's payloads verbatim (the
     bit-identity tests pin this against the in-process pool)."""
-    from .orch._pool import JobOutcome
+    from .orch import JobOutcome
     from .serve import Client
 
     with Client(server, name=name, priority=priority) as client:
@@ -540,13 +540,8 @@ def _server_outcomes(server: str, plan, *, use_cache: bool,
               f"{sub['sub']}: {sub['queued']} queued, {sub['cached']} "
               f"cached, {sub['deduped']} deduped", flush=True)
         envelopes = client.results(sub["sub"], wait=True)
-    outcomes = []
-    for job, env in zip(plan.unique_jobs, envelopes):
-        outcomes.append(JobOutcome(
-            job, plan.key_of[id(job)], env["status"],
-            payload=env["payload"], error=env["error"],
-            wall_s=env.get("wall_s") or 0.0))
-    return outcomes
+    return [JobOutcome.from_envelope(job, plan.key_of[id(job)], env)
+            for job, env in zip(plan.unique_jobs, envelopes)]
 
 
 def _sweep(args: argparse.Namespace, argv: List[str]) -> int:

@@ -15,9 +15,13 @@ grid into a first-class subsystem:
   worker id, retries, outcome);
 * :mod:`graph` -- sweeps (jobs + a pure reduce step) and the deduplicated
   execution plan across several sweeps;
-* :mod:`_pool` -- the multiprocessing scheduler: worker pool, per-job
-  timeout, bounded retry, Ctrl-C cancellation, progress/ETA (the
-  long-lived service front end over this pool is :mod:`repro.serve`).
+* :mod:`worker` -- where one attempt runs: in this process or in a
+  worker process, with the ``REPRO_WORKER_BUDGET`` grant exported;
+* :mod:`run` -- :func:`run_jobs`, a synchronous front end over the one
+  job scheduler, :class:`repro.serve.Scheduler` (per-job timeout,
+  bounded retry, crash replacement, Ctrl-C cancellation, progress/ETA),
+  run in this process with no listener.  ``repro serve`` puts the same
+  scheduler behind a TCP daemon.
 """
 
 from .cache import ResultStore, cache_key, default_cache_dir
@@ -25,13 +29,8 @@ from .fingerprint import code_fingerprint
 from .graph import Plan, Sweep, build_plan, reduce_all
 from .job import Job, execute, jsonable
 from .journal import RunJournal, read_journal
-from ._pool import (
-    WORKER_BUDGET_ENV,
-    JobOutcome,
-    collect_payloads,
-    execute_serial,
-    run_jobs,
-)
+from .run import JobOutcome, collect_payloads, execute_serial, run_jobs
+from .worker import WORKER_BUDGET_ENV
 
 __all__ = [
     "Job",

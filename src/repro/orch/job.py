@@ -25,6 +25,11 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
+#: Terminal job states, shared by :func:`repro.orch.run_jobs`, the
+#: serve scheduler and the journal's ``job`` records.
+OK, CACHED, FAILED, TIMEOUT, CANCELLED = (
+    "ok", "cached", "failed", "timeout", "cancelled")
+
 
 def jsonable(value: Any) -> Any:
     """Recursively coerce ``value`` into plain JSON-able python data.
@@ -73,8 +78,8 @@ class Job:
     timeout_s: Optional[float] = None  # per-job wall-clock limit
     retries: int = 1  # attempts after the first failure/timeout
     #: Worker processes the job itself spawns (a multi-Cell PDES job
-    #: sets this to its shard-worker count).  The pool charges the job
-    #: that many scheduler slots so nested pools never oversubscribe the
+    #: sets this to its shard-worker count).  The scheduler charges the
+    #: job that many worker slots so nested pools never oversubscribe the
     #: host, and exports the grant as ``REPRO_WORKER_BUDGET`` in the
     #: worker's environment (:func:`repro.pdes.resolve_workers` obeys
     #: it).  Scheduling metadata only -- excluded from :meth:`spec`, so

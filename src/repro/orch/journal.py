@@ -1,11 +1,16 @@
 """The JSONL run journal.
 
-One line per event, appended as the sweep runs, so a killed run still
-leaves a usable record.  The first line is a ``header`` carrying
-provenance (package version, code fingerprint, argv, job count); every
-job completion -- cached, computed, failed, timed out, or cancelled --
-adds a ``job`` line with wall time, cycles (when the payload reports
-them), worker id, and retry count.  ``repro journal <path>`` renders a
+One line per event, appended as the run goes, so a killed run still
+leaves a usable record.  The front end (``repro sweep``, ``repro
+serve``, any :func:`repro.orch.run_jobs` caller) writes the ``header``
+carrying provenance (package version, code fingerprint, argv, job
+count) and the closing ``footer``.  In between, the job scheduler
+journals its run events: every job completion -- cached, computed,
+failed, timed out, or cancelled -- adds a ``job`` line with wall time,
+cycles (when the payload reports them), worker id, and retry count,
+next to the intake and attempt records (``client``, ``submit``,
+``start``, ``sub-done``, ...).  Every record type is listed in
+:data:`repro.serve.EVENT_SCHEMA`.  ``repro journal <path>`` renders a
 post-hoc summary.
 """
 
@@ -14,7 +19,7 @@ from __future__ import annotations
 import datetime
 import json
 import sys
-from typing import Any, Dict, IO, Iterator, List, Optional
+from typing import Any, Dict, IO, Iterator, List, Mapping, Optional
 
 
 class RunJournal:
@@ -41,8 +46,9 @@ class RunJournal:
         self._write({"event": "job", **fields})
 
     def write_event(self, event: str, **fields: Any) -> None:
-        """One record of any event type (the serve daemon's intake:
-        client registrations, submissions, dedup hits, quota denials)."""
+        """One record of any event type (the scheduler's run events:
+        client registrations, submissions, attempts, dedup hits, quota
+        denials)."""
         self._write({"event": event, **fields})
 
     def write_footer(self, **fields: Any) -> None:
@@ -70,6 +76,14 @@ class RunJournal:
 def _utcnow() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ")
+
+
+def cycles_of(payload: Any) -> Optional[float]:
+    """The simulated cycles a job payload reports, if any."""
+    if isinstance(payload, Mapping) and isinstance(
+            payload.get("cycles"), (int, float)):
+        return payload["cycles"]
+    return None
 
 
 def read_journal(path: str) -> List[Dict[str, Any]]:

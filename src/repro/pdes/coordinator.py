@@ -211,9 +211,9 @@ class _PipeTransport:
     """Shards round-robined over forked worker processes."""
 
     def __init__(self, specs: Sequence[ShardSpec], workers: int) -> None:
-        from ..orch._pool import _context
+        from ..orch.worker import mp_context
 
-        ctx = _context()
+        ctx = mp_context()
         self.n = len(specs)
         self.worker_of = [i % workers for i in range(self.n)]
         self.local_of: List[int] = []

@@ -3,9 +3,11 @@
 ``repro journal <path>`` renders what a finished (or killed) sweep did:
 outcome counts, cache-hit rate, wall-time totals, per-experiment
 aggregates and the slowest computed jobs.  A journal written by the
-``repro serve`` scheduler daemon additionally gets a server section:
-per-client quota usage (submitted / in-flight denials), the
-dedup-hit ratio across clients, and any restart recoveries.
+``repro serve`` scheduler daemon (its header carries ``server: true``)
+additionally gets a server section: per-client quota usage (submitted
+/ in-flight denials), the dedup-hit ratio across clients, and any
+restart recoveries.  A local sweep's journal holds the same scheduler
+intake records but renders without that section.
 """
 
 from __future__ import annotations
@@ -59,12 +61,13 @@ def summarize(path: str) -> Dict[str, Any]:
         "retried": retried,
         "experiments": experiments,
         "slowest": slowest,
-        "server": _summarize_server(records),
+        "server": _summarize_server(records) if header.get("server")
+        else {},
     }
 
 
 def _summarize_server(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The serve-daemon view of a journal (empty dict for plain sweeps).
+    """The serve-daemon view of a journal.
 
     Aggregates the daemon's intake events: per-client submissions and
     quota denials, the cross-client dedup-hit ratio, restart
@@ -74,7 +77,6 @@ def _summarize_server(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     clients: Dict[str, Dict[str, Any]] = {}
     dedup_hits = quota_denials = recoveries = submitted = 0
     interrupted = 0
-    seen_serve_event = False
 
     def client_row(cid: str) -> Dict[str, Any]:
         return clients.setdefault(cid, {
@@ -85,12 +87,10 @@ def _summarize_server(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     for rec in records:
         event = rec.get("event")
         if event == "client":
-            seen_serve_event = True
             names[rec.get("client")] = rec.get("name") or rec.get("client")
             row = client_row(names[rec.get("client")])
             row["priority"] = rec.get("priority", 0)
         elif event == "submit":
-            seen_serve_event = True
             row = client_row(names.get(rec.get("client"),
                                        rec.get("client")))
             row["submitted"] += rec.get("jobs") or 0
@@ -99,20 +99,15 @@ def _summarize_server(records: List[Dict[str, Any]]) -> Dict[str, Any]:
             row["deduped"] += rec.get("deduped") or 0
             submitted += rec.get("jobs") or 0
         elif event == "dedup":
-            seen_serve_event = True
             dedup_hits += 1
         elif event == "quota":
-            seen_serve_event = True
             row = client_row(names.get(rec.get("client"),
                                        rec.get("client")))
             row["denied"] += rec.get("denied") or 0
             quota_denials += rec.get("denied") or 0
         elif event == "recover":
-            seen_serve_event = True
             recoveries += 1
             interrupted += rec.get("interrupted") or 0
-    if not seen_serve_event:
-        return {}
     return {
         "clients": clients,
         "submitted": submitted,

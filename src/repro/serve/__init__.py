@@ -1,15 +1,19 @@
-"""repro.serve: simulation-as-a-service.
+"""repro.serve: the job scheduler and simulation-as-a-service.
 
-The sweep orchestrator (:mod:`repro.orch`) runs one plan and exits;
-this package keeps its three assets -- the worker pool, the
-content-addressed result store, and the JSONL journal -- alive behind
-a small daemon, so many clients share one warm backend:
+:class:`Scheduler` is the repository's one job executor: worker slots,
+per-job timeout, bounded retry, crash replacement, cache lookup/put
+and the journal's run events.  :func:`repro.orch.run_jobs` -- and so
+``repro sweep`` without ``--server`` -- drives an in-process instance
+with no listener; this package also keeps one alive behind a small
+daemon, so many clients share one warm backend:
 
-* :mod:`scheduler` -- the asyncio scheduler owning pool + cache +
-  journal: priority queue, per-client quotas, cross-client dedup,
-  journal recovery (:class:`Scheduler`, :class:`ServeConfig`);
-* :mod:`daemon` -- the NDJSON-over-TCP front end
-  (:class:`Daemon`, :class:`BackgroundDaemon`, :func:`run_daemon`);
+* :mod:`scheduler` -- the asyncio scheduler: priority queue, per-client
+  quotas, cross-client dedup, slot ledger, the retry loop and its two
+  execution backends (:class:`Scheduler`, :class:`ServeConfig`);
+* :mod:`daemon` -- the NDJSON-over-TCP front end, which opens the
+  journal named by :class:`ServeConfig`, writes its header/footer and
+  journals restart recovery (:class:`Daemon`,
+  :class:`BackgroundDaemon`, :func:`run_daemon`);
 * :mod:`client` -- the synchronous :class:`Client` (and the
   :class:`AsyncClient` transport) the ``repro sweep``/``repro
   submit`` thin clients use;

@@ -1,8 +1,14 @@
 """The network front end: NDJSON over ``asyncio.start_server``.
 
-One :class:`Daemon` owns one :class:`~.scheduler.Scheduler` and a TCP
-listener.  Each connection is a request loop (one JSON object per
-line, see :mod:`.protocol`); all writes -- responses and pushed events
+One :class:`Daemon` owns one :class:`~.scheduler.Scheduler` (on the
+store under :class:`ServeConfig`'s cache directory), the run journal
+it opens from :class:`ServeConfig`'s path, and a TCP listener.  The
+journal is opened in append mode: on restart the prior run's records
+are scanned, interrupted jobs are counted into a ``recover`` record,
+and their completed siblings keep being served from the store
+(artifact writes are atomic, so a killed daemon never leaves a torn
+cache).  Each connection is a request loop (one JSON object per line,
+see :mod:`.protocol`); all writes -- responses and pushed events
 alike -- go through a per-connection outbox task, so a slow client
 never interleaves bytes or blocks the scheduler.
 
@@ -15,9 +21,11 @@ the daemon in a larger program.
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 from typing import Any, Dict, Optional, Set, Tuple
 
+from ..orch.journal import RunJournal, read_journal
 from .protocol import MAX_LINE_BYTES, OPS, PROTOCOL_VERSION, decode, encode
 from .quotas import QuotaError
 from .scheduler import Scheduler, ServeConfig
@@ -28,7 +36,9 @@ class Daemon:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.scheduler = Scheduler(self.config)
+        self._recovery = _scan_prior_journal(self.config.journal)
+        self.journal = RunJournal(self.config.journal, append=True)
+        self.scheduler = Scheduler(self.config, journal=self.journal)
         self.address: Optional[Tuple[str, int]] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._conns: Set["_Connection"] = set()
@@ -36,7 +46,16 @@ class Daemon:
         self._stopped = False
 
     async def start(self) -> Tuple[str, int]:
-        await self.scheduler.start()
+        sched = self.scheduler
+        if self._recovery is not None:
+            self.journal.write_event("recover", run_id=sched.run_id,
+                                     **self._recovery)
+        self.journal.write_header(
+            server=True, run_id=sched.run_id, fingerprint=sched.fingerprint,
+            version=_package_version(), workers=self.config.workers,
+            cache_dir=sched.cache_dir, cache=self.config.use_cache,
+            quota=self.config.quota)
+        await sched.start()
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port,
             limit=MAX_LINE_BYTES)
@@ -63,6 +82,9 @@ class Daemon:
         for conn in list(self._conns):
             await conn.close()
         await self.scheduler.shutdown()
+        self.journal.write_footer(run_id=self.scheduler.run_id,
+                                  **self.scheduler.counts())
+        self.journal.close()
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -118,7 +140,7 @@ class _Connection:
                     and self.client_id is None:
                 raise QuotaError("send hello before any other op")
             payload = await self._handle_op(op, record, scheduler)
-        except (QuotaError, KeyError, ValueError) as exc:
+        except (QuotaError, KeyError, ValueError, TypeError) as exc:
             message = str(exc)
             if isinstance(exc, KeyError):
                 message = exc.args[0] if exc.args else message
@@ -135,8 +157,8 @@ class _Connection:
                          scheduler) -> Dict[str, Any]:
         if op == "hello":
             state = scheduler.register_client(
-                name=record.get("name"),
-                priority=int(record.get("priority", 0)))
+                name=_field(record, "name", str),
+                priority=_field(record, "priority", int, default=0))
             self.client_id = state.client_id
             return {"client": state.client_id, "name": state.name,
                     "priority": state.priority,
@@ -148,21 +170,24 @@ class _Connection:
         if op == "ping":
             return {"pong": True}
         if op == "submit":
-            jobs = record.get("jobs")
-            if not isinstance(jobs, list) or not jobs:
-                raise ValueError("submit needs a non-empty 'jobs' list")
+            jobs = _field(record, "jobs", list)
+            if not jobs or not all(isinstance(j, dict) for j in jobs):
+                raise ValueError("submit needs a non-empty 'jobs' list "
+                                 "of job objects")
             return scheduler.submit(
                 self.client_id, jobs,
-                use_cache=bool(record.get("use_cache", True)))
+                use_cache=_field(record, "use_cache", bool, default=True))
         if op == "status":
-            return scheduler.status(_required(record, "sub"))
+            return scheduler.status(_field(record, "sub", str,
+                                           required=True))
         if op == "result":
-            return scheduler.result_of(_required(record, "cache_key"))
+            return scheduler.result_of(_field(record, "cache_key", str,
+                                              required=True))
         if op == "results":
-            sub = _required(record, "sub")
-            if record.get("wait", True):
+            sub = _field(record, "sub", str, required=True)
+            if _field(record, "wait", bool, default=True):
                 await scheduler.wait_submission(
-                    sub, timeout=record.get("timeout"))
+                    sub, timeout=_field(record, "timeout", (int, float)))
             return {"sub": sub, "results": scheduler.results(sub)}
         if op == "watch":
             if self._watch_token is None:
@@ -175,8 +200,8 @@ class _Connection:
                 self._watch_token = None
             return {"watching": False}
         if op == "cancel":
-            return dict(scheduler.cancel(self.client_id,
-                                         _required(record, "sub")))
+            return dict(scheduler.cancel(
+                self.client_id, _field(record, "sub", str, required=True)))
         if op == "stats":
             return scheduler.stats()
         if op == "shutdown":
@@ -220,10 +245,46 @@ class _Connection:
             pass
 
 
-def _required(record: Dict[str, Any], name: str) -> Any:
+def _scan_prior_journal(path: Optional[str]) -> Optional[Dict[str, Any]]:
+    """What an earlier daemon run left in the journal, if anything."""
+    if not path or not os.path.exists(path):
+        return None
+    try:
+        if os.path.getsize(path) == 0:
+            return None
+        records = read_journal(path)
+    except OSError:
+        return None
+    if not records:
+        return None
+    submitted: set = set()
+    completed: set = set()
+    for rec in records:
+        event = rec.get("event")
+        if event == "submit":
+            submitted.update(rec.get("keys") or [])
+        elif event == "job":
+            completed.add(rec.get("cache_key"))
+    return {"prior_records": len(records),
+            "interrupted": len(submitted - completed)}
+
+
+def _field(record: Dict[str, Any], name: str, kind: Any,
+           default: Any = None, required: bool = False) -> Any:
+    """One request field, checked against ``kind`` (a type or tuple of
+    types; ``bool`` never passes for a number).  Absent or ``null``
+    reads as ``default`` unless ``required``."""
     value = record.get(name)
     if value is None:
-        raise ValueError(f"op {record.get('op')!r} needs {name!r}")
+        if required:
+            raise ValueError(f"op {record.get('op')!r} needs {name!r}")
+        return default
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool)
+                                        and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"op {record.get('op')!r}: {name!r} must be "
+                         f"{names}, got {type(value).__name__}")
     return value
 
 

@@ -1,11 +1,12 @@
-"""The asyncio scheduler: orch pool + cache + journal behind one object.
+"""The asyncio job scheduler: one executor for sweeps and the daemon.
 
-This is the long-lived heart of ``repro serve``.  It owns exactly the
-three pieces :mod:`repro.orch` already had -- the content-addressed
-:class:`~repro.orch.cache.ResultStore`, the JSONL
-:class:`~repro.orch.journal.RunJournal`, and the multiprocessing worker
-machinery of :mod:`repro.orch._pool` -- and turns the fire-and-forget
-per-sweep pool into a service:
+Every job the repository runs -- ``repro serve``'s submissions, ``repro
+sweep`` without ``--server`` and every :func:`repro.orch.run_jobs`
+caller -- goes through one :class:`Scheduler`.  It is handed the
+content-addressed :class:`~repro.orch.cache.ResultStore` and the JSONL
+:class:`~repro.orch.journal.RunJournal` by its front end (``run_jobs``
+passes the caller's; the daemon's come from :class:`ServeConfig`)
+and adds:
 
 * **streaming intake** -- clients submit job plans at any time; jobs
   enter one priority queue (client priority, then submission order);
@@ -15,21 +16,22 @@ per-sweep pool into a service:
   identical to an in-flight or completed job of *any* client attaches
   as a waiter and shares the single execution's result bit-for-bit;
 * **quotas** -- per-client in-flight budgets (:mod:`.quotas`);
-* **events** -- every journal record is also fanned out live to
+* **a slot ledger** -- a job holds ``min(max(procs, 1), workers)``
+  worker slots while it runs (a multi-Cell PDES job forks ``procs``
+  shard workers of its own), and an idle scheduler always admits the
+  head job, so nothing starves;
+* **one retry loop** -- per-job timeout, bounded retry (``retries`` + 1
+  attempts) and crash replacement, implemented once in :meth:`_run`;
+* **events** -- every run event is journaled and fanned out live to
   ``watch``-ing connections (the stream *is* the journal format; see
-  :mod:`.protocol`);
-* **recovery** -- the journal is opened in append mode; on restart the
-  prior run's records are scanned, interrupted jobs are counted into a
-  ``recover`` record, and their completed siblings keep being served
-  from the store (artifact writes are atomic, so a killed daemon never
-  leaves a torn cache).
+  :mod:`.protocol`).  The front end writes the ``header``/``footer``.
 
-Execution backends: ``workers >= 1`` drives the orch pool's own worker
-processes (job assignment over pipes, per-job timeout, bounded retry,
-crash replacement) through ``loop.add_reader``; ``workers <= 0`` runs
-jobs on a single in-daemon thread (no timeout enforcement -- same
-contract as the pool's in-process mode), which is what tests and 1-CPU
-hosts use.
+Execution backends: ``workers >= 1`` runs each attempt in a
+:class:`~repro.orch.worker.Worker` process (job assignment over pipes,
+``loop.add_reader`` on the result end); ``workers <= 0`` runs jobs in
+this process one at a time (no timeout enforcement) -- on a helper
+thread, so the daemon's loop stays responsive, or with ``inline=True``
+on the loop's own thread, where Ctrl-C reaches the job itself.
 """
 
 from __future__ import annotations
@@ -39,28 +41,19 @@ import heapq
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..orch._pool import (
-    CANCELLED,
-    FAILED,
-    OK,
-    TIMEOUT,
-    WORKER_BUDGET_ENV,
-    _context,
-    _cycles_of,
-    _Worker,
-)
 from ..orch.cache import ResultStore, cache_key, default_cache_dir
 from ..orch.fingerprint import code_fingerprint
-from ..orch.job import Job, execute
-from ..orch.journal import RunJournal, _utcnow, read_journal
+from ..orch.job import CACHED, CANCELLED, FAILED, OK, TIMEOUT, Job
+from ..orch.journal import RunJournal, cycles_of
+from ..orch.worker import Worker, job_cost, mp_context, run_budgeted
 from .quotas import ClientState, QuotaError, QuotaPolicy
 
-#: Additional entry states next to the orch pool's terminal ones.
-QUEUED, RUNNING, CACHED = "queued", "running", "cached"
+#: Additional entry states next to the terminal job states.
+QUEUED, RUNNING = "queued", "running"
 
 _TERMINAL = (OK, CACHED, FAILED, TIMEOUT, CANCELLED)
 
@@ -76,7 +69,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is printed/returned)
-    workers: int = 0  # >=1: orch pool worker processes; <=0: one thread
+    workers: int = 0  # >=1: worker processes; <=0: in-process, one job
     cache_dir: Optional[str] = None
     journal: Optional[str] = None
     use_cache: bool = True
@@ -131,16 +124,28 @@ class _Submission:
 
 class Scheduler:
     """See the module docstring.  All methods must run on the event
-    loop's thread (the daemon guarantees this); ``start`` first."""
+    loop's thread (the daemon guarantees this); ``start`` first.
 
-    def __init__(self, config: Optional[ServeConfig] = None) -> None:
+    ``store`` defaults to the one under ``config``'s cache directory
+    (none when ``config.use_cache`` is off); ``journal=None`` journals
+    nowhere.
+    """
+
+    def __init__(self, config: Optional[ServeConfig] = None,
+                 store: Optional[ResultStore] = None,
+                 journal: Optional[RunJournal] = None, *,
+                 inline: bool = False) -> None:
         self.config = config or ServeConfig()
         self.run_id = os.urandom(6).hex()
         self.fingerprint = self.config.fingerprint or code_fingerprint()
-        self.cache_dir = self.config.resolved_cache_dir()
-        self.store: Optional[ResultStore] = (
-            ResultStore(self.cache_dir) if self.config.use_cache else None)
-        self.journal: Optional[RunJournal] = None
+        if store is not None:
+            self.store: Optional[ResultStore] = store
+            self.cache_dir = store.root
+        else:
+            self.cache_dir = self.config.resolved_cache_dir()
+            self.store = (ResultStore(self.cache_dir)
+                          if self.config.use_cache else None)
+        self.journal = journal
         self.quotas = QuotaPolicy(self.config.quota,
                                   self.config.max_priority)
         self._entries: Dict[str, _Entry] = {}
@@ -156,27 +161,18 @@ class Scheduler:
         self._stopping = False
         self._tasks: List[asyncio.Task] = []
         self._kick: Optional[asyncio.Event] = None
-        self._backend: Optional[Any] = None
+        if self.config.workers >= 1:
+            self._backend: Any = _ProcessBackend(
+                self.config.workers, self.config.default_timeout)
+        else:
+            self._backend = _InProcessBackend(inline)
+        self._held = 0  # worker slots charged to running jobs
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._kick = asyncio.Event()
-        recovery = self._scan_prior_journal()
-        self.journal = RunJournal(self.config.journal, append=True)
-        if recovery is not None:
-            self._emit("recover", run_id=self.run_id, **recovery)
-        self._emit(
-            "header", started=_utcnow(), server=True, run_id=self.run_id,
-            fingerprint=self.fingerprint, version=_package_version(),
-            workers=self.config.workers, cache_dir=self.cache_dir,
-            cache=self.config.use_cache, quota=self.config.quota)
-        if self.config.workers >= 1:
-            self._backend = _ProcessBackend(self, self.config.workers,
-                                            self.config.default_timeout)
-        else:
-            self._backend = _ThreadBackend(self)
         self._tasks.append(self._loop.create_task(self._dispatch()))
         if self.config.stats_interval > 0:
             self._tasks.append(
@@ -189,44 +185,21 @@ class Scheduler:
         self._kick.set()
         for task in self._tasks:
             task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        if self._backend is not None:
-            await self._backend.stop()
-        counts: Dict[str, int] = {}
-        for entry in self._entries.values():
-            counts[entry.status] = counts.get(entry.status, 0) + 1
-        self._emit("footer", finished=_utcnow(), run_id=self.run_id,
-                   **counts)
-        if self.journal is not None:
-            self.journal.close()
+        # return_exceptions: a task Ctrl-C stopped holds its interrupt.
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._backend.stop()
 
-    def _scan_prior_journal(self) -> Optional[Dict[str, Any]]:
-        """What an earlier daemon run left in the journal, if anything."""
-        path = self.config.journal
-        if not path or not os.path.exists(path):
-            return None
-        try:
-            if os.path.getsize(path) == 0:
-                return None
-            records = read_journal(path)
-        except OSError:
-            return None
-        if not records:
-            return None
-        submitted: set = set()
-        completed: set = set()
-        for rec in records:
-            event = rec.get("event")
-            if event == "submit":
-                submitted.update(rec.get("keys") or [])
-            elif event == "job":
-                completed.add(rec.get("cache_key"))
-        return {"prior_records": len(records),
-                "interrupted": len(submitted - completed)}
+    def cancel_unfinished(self) -> None:
+        """Settle every queued or running job as cancelled (Ctrl-C of a
+        local run; :meth:`shutdown` then stops the workers)."""
+        for entry in list(self._entries.values()):
+            if entry.status in (QUEUED, RUNNING):
+                self._settle(entry, CANCELLED, None, "interrupted", 0.0,
+                             None)
+
+    def counts(self) -> Dict[str, int]:
+        """Entries per status (the daemon's footer)."""
+        return _tally(e.status for e in self._entries.values())
 
     # -- event fan-out ------------------------------------------------------
 
@@ -263,12 +236,23 @@ class Scheduler:
 
     def submit(self, client_id: str, wire_jobs: List[Dict[str, Any]],
                use_cache: bool = True) -> Dict[str, Any]:
+        """Admit one plan of wire-form jobs (see :meth:`submit_jobs`)."""
+        return self.submit_jobs(client_id,
+                                [Job.from_wire(w) for w in wire_jobs],
+                                use_cache=use_cache)
+
+    def submit_jobs(self, client_id: str, jobs: List[Job],
+                    keys: Optional[List[str]] = None,
+                    use_cache: bool = True) -> Dict[str, Any]:
         """Admit one plan; returns per-job keys/statuses (atomic: a
-        quota rejection admits nothing)."""
+        quota rejection admits nothing).  ``keys`` are the jobs' cache
+        keys when the caller already has them.  ``use_cache=False``
+        recomputes: neither the store nor a completed entry serves the
+        plan (an in-flight run of the same spec is still shared)."""
         state = self.quotas.get(client_id)
-        jobs = [Job.from_wire(w) for w in wire_jobs]
-        keys = [cache_key(job, self.fingerprint) for job in jobs]
-        use_cache = use_cache and self.config.use_cache
+        if keys is None:
+            keys = [cache_key(job, self.fingerprint) for job in jobs]
+        lookup = use_cache and self.config.use_cache
 
         # Classification pass -- no state mutated yet.
         planned: List[Tuple[Job, str, str, Optional[Dict[str, Any]]]] = []
@@ -278,13 +262,14 @@ class Scheduler:
             entry = self._entries.get(key)
             if key in seen_new:
                 action, record = "dedup-sub", None
-            elif entry is not None and entry.status in (OK, CACHED):
+            elif (use_cache and entry is not None
+                  and entry.status in (OK, CACHED)):
                 action, record = "dedup-done", None
             elif entry is not None and entry.status in (QUEUED, RUNNING):
                 action, record = "dedup-inflight", None
             else:
                 # No live entry (or a failed/cancelled one): (re)compute.
-                record = self.store.get(key) if (use_cache and
+                record = self.store.get(key) if (lookup and
                                                  self.store) else None
                 if record is not None:
                     action = "cache-hit"
@@ -330,7 +315,7 @@ class Scheduler:
                            experiment=job.experiment, key=job.key,
                            outcome=CACHED, wall_s=0.0, attempts=0,
                            worker=None, error=None,
-                           cycles=_cycles_of(entry.payload),
+                           cycles=cycles_of(entry.payload),
                            client=client_id)
                 sub.modes.append("hit")
                 counts["cached"] += 1
@@ -370,11 +355,8 @@ class Scheduler:
     def status(self, sub_id: str) -> Dict[str, Any]:
         sub = self._require_sub(sub_id)
         statuses = [self._entries[k].status for k in sub.keys]
-        counts: Dict[str, int] = {}
-        for status in statuses:
-            counts[status] = counts.get(status, 0) + 1
         return {"sub": sub.sub_id, "done": sub.done.is_set(),
-                "statuses": statuses, "counts": counts}
+                "statuses": statuses, "counts": _tally(statuses)}
 
     def results(self, sub_id: str) -> List[Dict[str, Any]]:
         """Per-job result envelopes, aligned with the submitted order.
@@ -405,6 +387,8 @@ class Scheduler:
             "payload": entry.payload,
             "error": entry.error,
             "wall_s": entry.wall_s,
+            "attempts": entry.attempts,
+            "worker": entry.worker,
             "provenance": {
                 "job": entry.job.name,
                 "cache_key": entry.key,
@@ -477,15 +461,49 @@ class Scheduler:
     # -- execution ----------------------------------------------------------
 
     async def _dispatch(self) -> None:
+        slots = self._backend.slots
         while not self._stopping:
             await self._kick.wait()
             self._kick.clear()
-            while self._queue and self._backend.free() > 0:
-                _prio, _seq, key = heapq.heappop(self._queue)
-                entry = self._entries.get(key)
+            while self._queue:
+                entry = self._entries.get(self._queue[0][2])
                 if entry is None or entry.status != QUEUED:
-                    continue  # cancelled or re-keyed meanwhile
-                self._backend.launch(entry)
+                    heapq.heappop(self._queue)  # cancelled or re-keyed
+                    continue
+                cost = job_cost(entry.job, slots)
+                if self._held and self._held + cost > slots:
+                    break  # wait for slots to free before admitting
+                heapq.heappop(self._queue)
+                self._held += cost
+                entry.status = RUNNING
+                self._tasks.append(
+                    self._loop.create_task(self._run(entry, cost)))
+
+    async def _run(self, entry: _Entry, cost: int) -> None:
+        """Attempts of one job until it succeeds or its budget
+        (``retries`` + 1 attempts) is spent; failures, timeouts and
+        worker crashes all retry the same way."""
+
+        def started(worker: Optional[int]) -> None:
+            self._emit("start", cache_key=entry.key,
+                       experiment=entry.job.experiment, key=entry.job.key,
+                       client=entry.origin, attempt=entry.attempts,
+                       worker=worker)
+
+        try:
+            while True:
+                entry.attempts += 1
+                status, result, wall, worker = await self._backend.attempt(
+                    entry.job, started)
+                if status == OK:
+                    self._settle(entry, OK, result, None, wall, worker)
+                    return
+                if entry.attempts > entry.job.retries:
+                    self._settle(entry, status, None, result, wall, worker)
+                    return
+        finally:
+            self._held -= cost
+            self._kick.set()
 
     async def _stats_loop(self) -> None:
         while not self._stopping:
@@ -497,13 +515,6 @@ class Scheduler:
                        dedup_hits=snap["dedup_hits"],
                        cache_hits=snap["cache_hits"],
                        clients=len(snap["clients"]))
-
-    def _emit_start(self, entry: _Entry, worker: Optional[int]) -> None:
-        entry.status = RUNNING
-        self._emit("start", cache_key=entry.key,
-                   experiment=entry.job.experiment, key=entry.job.key,
-                   client=entry.origin, attempt=entry.attempts,
-                   worker=worker)
 
     def _settle(self, entry: _Entry, status: str, payload: Any,
                 error: Optional[str], wall: float,
@@ -531,7 +542,7 @@ class Scheduler:
                    experiment=entry.job.experiment, key=entry.job.key,
                    outcome=status, wall_s=round(wall, 6), worker=worker,
                    attempts=entry.attempts, error=error,
-                   cycles=_cycles_of(payload), client=entry.origin)
+                   cycles=cycles_of(payload), client=entry.origin)
         for client_id, sub_id in entry.waiters:
             sub = self._subs.get(sub_id)
             if sub is None or entry.key not in sub.remaining:
@@ -547,198 +558,115 @@ class Scheduler:
         if sub.done.is_set():
             return
         sub.done.set()
-        counts: Dict[str, int] = {}
-        for key in sub.keys:
-            status = self._entries[key].status
-            counts[status] = counts.get(status, 0) + 1
         self._emit("sub-done", sub=sub.sub_id, client=sub.client,
-                   counts=counts)
+                   counts=_tally(self._entries[k].status for k in sub.keys))
+
+
+def _tally(statuses: Iterable[str]) -> Dict[str, int]:
+    return dict(Counter(statuses))
 
 
 # ---------------------------------------------------------------------------
-# Execution backends.
+# Execution backends: ``attempt`` runs one attempt of a job and returns
+# ``(status, payload-or-error, wall_s, worker id)``; ``slots`` is the
+# capacity the slot ledger charges against.
 
-def _execute_budgeted(job: Job) -> Any:
-    """In-thread execution with the worker-budget contract of the
-    pool's in-process mode (save/restore around the job)."""
-    previous = os.environ.get(WORKER_BUDGET_ENV)
-    os.environ[WORKER_BUDGET_ENV] = str(max(job.procs, 1))
-    try:
-        return execute(job)
-    finally:
-        if previous is None:
-            os.environ.pop(WORKER_BUDGET_ENV, None)
-        else:
-            os.environ[WORKER_BUDGET_ENV] = previous
+Attempt = Tuple[str, Any, float, Optional[int]]
 
 
-class _ThreadBackend:
-    """One in-daemon execution thread (``workers <= 0``): no process
-    boundary, so no timeout enforcement -- the test/1-CPU mode."""
+class _InProcessBackend:
+    """Jobs in this process, one at a time (``workers <= 0``): no
+    process boundary, so no timeout enforcement."""
 
-    def __init__(self, scheduler: Scheduler) -> None:
-        self._scheduler = scheduler
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-job")
-        self._busy = 0
+    slots = 1
 
-    def free(self) -> int:
-        return 1 - self._busy
+    def __init__(self, inline: bool) -> None:
+        self._inline = inline
 
-    def launch(self, entry: _Entry) -> None:
-        self._busy += 1
-        task = asyncio.get_running_loop().create_task(self._run(entry))
-        self._scheduler._tasks.append(task)
-
-    async def _run(self, entry: _Entry) -> None:
-        sched = self._scheduler
-        loop = asyncio.get_running_loop()
+    async def attempt(self, job: Job,
+                      started: Callable[[Optional[int]], None]) -> Attempt:
+        started(None)
+        t0 = time.perf_counter()
         try:
-            while True:
-                entry.attempts += 1
-                sched._emit_start(entry, worker=None)
-                t0 = time.perf_counter()
-                try:
-                    payload = await loop.run_in_executor(
-                        self._executor, _execute_budgeted, entry.job)
-                except Exception as exc:  # noqa: BLE001 -- retried
-                    wall = time.perf_counter() - t0
-                    if entry.attempts <= entry.job.retries:
-                        continue
-                    sched._settle(entry, FAILED, None,
-                                  f"{type(exc).__name__}: {exc}", wall,
-                                  None)
-                    return
-                else:
-                    sched._settle(entry, OK, payload, None,
-                                  time.perf_counter() - t0, None)
-                    return
-        finally:
-            self._busy -= 1
-            sched._kick.set()
+            if self._inline:
+                payload = run_budgeted(job)
+            else:
+                payload = await asyncio.get_running_loop().run_in_executor(
+                    None, run_budgeted, job)
+        except Exception as exc:  # noqa: BLE001 -- retried/reported
+            return (FAILED, f"{type(exc).__name__}: {exc}",
+                    time.perf_counter() - t0, None)
+        return OK, payload, time.perf_counter() - t0, None
 
-    async def stop(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
+    def stop(self) -> None:
+        pass
 
 
 class _ProcessBackend:
-    """The orch pool's worker processes driven by the event loop
-    (``loop.add_reader`` on each worker's result pipe)."""
+    """Worker processes driven by the event loop (``loop.add_reader``
+    on each worker's result pipe).  A worker that dies or runs past its
+    job's deadline is killed; the next attempt spawns a fresh one."""
 
-    def __init__(self, scheduler: Scheduler, workers: int,
+    def __init__(self, workers: int,
                  default_timeout: Optional[float]) -> None:
-        self._scheduler = scheduler
-        self._max = max(1, workers)
+        self.slots = max(1, workers)
         self._default_timeout = default_timeout
-        self._ctx = _context()
-        self._idle: List[_Worker] = []
-        self._all: List[_Worker] = []
-        self._busy = 0
+        self._ctx = mp_context()
+        self._idle: List[Worker] = []
+        self._all: List[Worker] = []
         self._next_wid = 0
 
-    def free(self) -> int:
-        return self._max - self._busy
-
-    def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self._next_wid)
-        self._next_wid += 1
-        self._all.append(worker)
-        return worker
-
-    def launch(self, entry: _Entry) -> None:
-        self._busy += 1
-        worker = self._idle.pop() if self._idle else self._spawn()
-        task = asyncio.get_running_loop().create_task(
-            self._run(entry, worker))
-        self._scheduler._tasks.append(task)
-
-    async def _run(self, entry: _Entry, worker: _Worker) -> None:
-        sched = self._scheduler
+    async def attempt(self, job: Job,
+                      started: Callable[[Optional[int]], None]) -> Attempt:
+        if self._idle:
+            worker = self._idle.pop()
+        else:
+            worker = Worker(self._ctx, self._next_wid)
+            self._next_wid += 1
+            self._all.append(worker)
+        started(worker.wid)
         loop = asyncio.get_running_loop()
+        done: asyncio.Future = loop.create_future()
+        fd = worker.conn.fileno()
+        loop.add_reader(fd, _on_reply, worker, done)
+        worker.assign(job)
+        limit = (job.timeout_s if job.timeout_s is not None
+                 else self._default_timeout)
+        timer = (loop.call_later(limit, _resolve, done, "timeout")
+                 if limit else None)
         try:
-            while True:
-                entry.attempts += 1
-                sched._emit_start(entry, worker=worker.wid)
-                fut: asyncio.Future = loop.create_future()
-                fd = worker.conn.fileno()
-                loop.add_reader(fd, self._on_ready, worker, fut)
-                worker.assign(0, entry.job, self._default_timeout)
-                handle = None
-                if worker.deadline is not None:
-                    handle = loop.call_later(
-                        max(0.0, worker.deadline - time.monotonic()),
-                        self._on_timeout, fut)
-                try:
-                    kind, status, result, wall, wid = await fut
-                finally:
-                    loop.remove_reader(fd)
-                    if handle is not None:
-                        handle.cancel()
-                worker.task = worker.deadline = None
-                if kind == "msg":
-                    if status == OK:
-                        self._idle.append(worker)
-                        sched._settle(entry, OK, result, None, wall, wid)
-                        return
-                    if entry.attempts <= entry.job.retries:
-                        continue  # same worker retries the job
-                    self._idle.append(worker)
-                    sched._settle(entry, FAILED, None, result, wall, wid)
-                    return
-                # The worker died or timed out: replace it either way.
-                wid = worker.wid
-                worker.kill()
-                self._all.remove(worker)
-                if kind == "died":
-                    if entry.attempts <= entry.job.retries:
-                        worker = self._spawn()
-                        continue
-                    sched._settle(entry, FAILED, None,
-                                  "worker process died", 0.0, wid)
-                    return
-                limit = (entry.job.timeout_s
-                         if entry.job.timeout_s is not None
-                         else self._default_timeout)
-                if entry.attempts <= entry.job.retries:
-                    worker = self._spawn()
-                    continue
-                sched._settle(entry, TIMEOUT, None,
-                              f"timed out after {limit:g}s",
-                              limit or 0.0, wid)
-                return
+            reply = await done
         finally:
-            self._busy -= 1
-            sched._kick.set()
+            loop.remove_reader(fd)
+            if timer is not None:
+                timer.cancel()
+        if isinstance(reply, tuple):
+            worker.busy = False
+            self._idle.append(worker)
+            return reply
+        worker.kill()
+        self._all.remove(worker)
+        if reply == "died":
+            return FAILED, "worker process died", 0.0, worker.wid
+        return TIMEOUT, f"timed out after {limit:g}s", limit, worker.wid
 
-    @staticmethod
-    def _on_ready(worker: _Worker, fut: asyncio.Future) -> None:
-        if fut.done():
-            return
-        try:
-            _idx, status, result, wall, wid = worker.conn.recv()
-        except (EOFError, OSError):
-            fut.set_result(("died", None, None, 0.0, worker.wid))
-            return
-        fut.set_result(("msg", status, result, wall, wid))
-
-    @staticmethod
-    def _on_timeout(fut: asyncio.Future) -> None:
-        if not fut.done():
-            fut.set_result(("timeout", None, None, 0.0, None))
-
-    async def stop(self) -> None:
+    def stop(self) -> None:
         for worker in self._all:
-            if worker.task is None:
-                try:
-                    worker.conn.send(None)  # polite shutdown
-                except (OSError, BrokenPipeError):
-                    pass
-            worker.kill()
+            worker.stop()
         self._all = []
         self._idle = []
 
 
-def _package_version() -> str:
-    from .. import __version__
+def _resolve(done: asyncio.Future, value: Any) -> None:
+    if not done.done():
+        done.set_result(value)
 
-    return __version__
+
+def _on_reply(worker: Worker, done: asyncio.Future) -> None:
+    if done.done():
+        return
+    try:
+        reply = worker.conn.recv()
+    except (EOFError, OSError):  # the worker crashed outright
+        reply = "died"
+    done.set_result(reply)

@@ -1,6 +1,11 @@
 """CLI: --version, --size threading, repro sweep, repro journal."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -117,3 +122,67 @@ class TestAllRoutesThroughOrchestrator:
         out = capsys.readouterr().out
         assert "sweep all" in out
         assert "tiny-rendered 3" in out
+
+
+#: ``repro sweep`` on a harness of one short job and three long ones.
+SLOW_SWEEP = """
+import sys
+
+import repro.experiments as experiments
+from repro.cli import main
+from repro.orch import Job
+
+
+class Slow:
+    @staticmethod
+    def jobs(size="small"):
+        return [Job("slow", f"s{i}", "tests.test_orch:sleep_job",
+                    params={"seconds": 0.2 if i == 0 else 30.0, "i": i})
+                for i in range(4)]
+
+    reduce = staticmethod(dict)
+
+    @staticmethod
+    def render(out):
+        pass
+
+
+experiments.HARNESSES["slow"] = Slow
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestSweepInterrupt:
+    def test_ctrl_c_cancels_unfinished_jobs_and_journals_them(self,
+                                                              tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), root]))
+        journal = str(tmp_path / "run.jsonl")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SLOW_SWEEP, "sweep", "slow", "--jobs",
+             "1", "--no-cache", "--journal", journal],
+            cwd=root, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if os.path.exists(journal) and any(
+                        r["event"] == "job" for r in read_journal(journal)):
+                    break
+                time.sleep(0.02)
+            else:
+                pytest.fail("no job record within 60s")
+            proc.send_signal(signal.SIGINT)
+            returncode = proc.wait(timeout=60.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert returncode == 1
+        records = read_journal(journal)
+        outcomes = {r["key"]: r["outcome"] for r in records
+                    if r["event"] == "job"}
+        assert outcomes == {"s0": "ok", "s1": "cancelled",
+                            "s2": "cancelled", "s3": "cancelled"}
+        assert records[-1]["event"] == "footer"

@@ -57,6 +57,16 @@ def sleep_job(params, config):
     return {"slept": params["seconds"]}
 
 
+def crash_once_job(params, config):
+    """Kills its worker process on the first attempt (per marker file)."""
+    marker = params["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os._exit(1)
+    return {"survived": True}
+
+
 def _add(a, b, key=None, **kw):
     return Job("t", key or f"{a}+{b}", f"{HERE}:add_job",
                params={"a": a, "b": b}, **kw)
@@ -278,6 +288,14 @@ class TestPool:
         assert outcome.status == "timeout"
         assert time.perf_counter() - t0 < 10.0
 
+    def test_worker_crash_is_replaced_and_retried(self, tmp_path):
+        job = Job("t", "crash", f"{HERE}:crash_once_job",
+                  params={"marker": str(tmp_path / "marker")}, retries=1)
+        (outcome,) = run_jobs([job], workers=1, use_cache=False)
+        assert outcome.status == "ok"
+        assert outcome.attempts == 2
+        assert outcome.payload == {"survived": True}
+
     def test_cache_hits_on_identical_rerun(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
         jobs = [_add(i, i) for i in range(4)]
@@ -319,6 +337,35 @@ class TestJournal:
         assert job_lines[0]["outcome"] == "ok"
         assert job_lines[0]["cycles"] == 1  # payload reports cycles
         assert records[-1]["event"] == "footer"
+
+    def test_run_jobs_journal_is_a_valid_event_stream(self, tmp_path):
+        """run_jobs journals the scheduler's run events; the caller's
+        header has no ``server`` flag, so the summary has no server
+        section."""
+        from repro.profile.journal import render, summarize
+        from repro.serve import validate_events
+
+        path = str(tmp_path / "run.jsonl")
+        job = Job("t", "flaky", f"{HERE}:flaky_job",
+                  params={"marker": str(tmp_path / "marker")}, retries=1)
+        with RunJournal(path) as journal:
+            journal.write_header(jobs=2)
+            run_jobs([_add(1, 2), job], workers=0, journal=journal,
+                     use_cache=False)
+            journal.write_footer(ok=2)
+        records = read_journal(path)
+        assert validate_events(records) == []
+        kinds = [r["event"] for r in records]
+        assert kinds[0] == "header" and kinds[-1] == "footer"
+        for kind in ("client", "submit", "sub-done"):
+            assert kinds.count(kind) == 1
+        assert kinds.count("start") == 3  # the flaky job ran twice
+        assert kinds.count("job") == 2
+        summary = summarize(path)
+        assert summary["server"] == {}
+        assert summary["outcomes"] == {"ok": 2}
+        assert summary["retried"] == 1
+        assert "server:" not in render(summary)
 
     def test_torn_last_line_tolerated(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

@@ -11,6 +11,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.orch import Job, ResultStore, cache_key, default_cache_dir
@@ -28,7 +30,7 @@ from repro.serve import (
     validate_event,
     validate_events,
 )
-from repro.serve.protocol import decode, encode, parse_address
+from repro.serve.protocol import OPS, decode, encode, parse_address
 
 HERE = "tests.test_serve"
 FPRINT = "feedc0de" * 2  # fixed fingerprint: no source hashing in tests
@@ -51,6 +53,11 @@ def counting_job(params, config):
 
 def boom_job(params, config):
     raise ValueError("boom")
+
+
+def sleep_job(params, config):
+    time.sleep(params["seconds"])
+    return {"slept": params["seconds"]}
 
 
 def _add(a, b, key=None, **kw):
@@ -392,6 +399,33 @@ class TestDaemon:
         assert ([canonical_json(e["payload"]) for e in first]
                 == [canonical_json(e["payload"]) for e in second])
 
+    def test_wide_jobs_serialize_on_narrow_daemon(self, tmp_path):
+        """Two procs=2 jobs on a 2-worker daemon must not co-run: each
+        holds both worker slots while it runs."""
+        jobs = [Job("t", f"wide{i}", f"{HERE}:sleep_job",
+                    params={"seconds": 0.25, "i": i}, procs=2)
+                for i in range(2)]
+        with _daemon(tmp_path, workers=2) as bg, \
+                Client(bg.address, name="wide") as client:
+            t0 = time.perf_counter()
+            envs = client.results(client.submit(jobs)["sub"])
+            wall = time.perf_counter() - t0
+        assert [e["status"] for e in envs] == ["ok", "ok"]
+        assert wall >= 0.45
+
+    def test_no_cache_submission_recomputes_completed_jobs(self, tmp_path):
+        marker = str(tmp_path / "runs.txt")
+        job = Job("t", "c", f"{HERE}:counting_job",
+                  params={"a": 1, "b": 1, "marker": marker})
+        with _daemon(tmp_path) as bg, \
+                Client(bg.address, name="fresh") as client:
+            client.results(client.submit([job])["sub"])
+            sub = client.submit([job], use_cache=False)
+            assert sub["queued"] == 1
+            assert client.results(sub["sub"])[0]["status"] == "ok"
+        with open(marker) as fh:
+            assert len(fh.readlines()) == 2
+
     def test_hello_required_before_submit(self, tmp_path):
         import socket
 
@@ -403,6 +437,111 @@ class TestDaemon:
         response = decode(line)
         assert response["ok"] is False
         assert "hello" in response["error"]
+
+
+# --- malformed requests ----------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+#: Every typed request field and the JSON types it accepts.
+_FIELDS = {
+    ("hello", "name"): (str,), ("hello", "priority"): (int,),
+    ("submit", "jobs"): (list,), ("submit", "use_cache"): (bool,),
+    ("status", "sub"): (str,), ("result", "cache_key"): (str,),
+    ("results", "sub"): (str,), ("results", "wait"): (bool,),
+    ("results", "timeout"): (int, float), ("cancel", "sub"): (str,),
+}
+#: A well-typed value per field, so a request is wrong in one field only.
+_VALID = {"name": "fuzz", "priority": 0, "jobs": [_add(1, 1).to_wire()],
+          "use_cache": True, "sub": "s999", "cache_key": "k", "wait": True,
+          "timeout": 1.0}
+
+
+def _accepts(kinds, value):
+    if isinstance(value, bool):
+        return bool in kinds
+    return isinstance(value, kinds)
+
+
+@st.composite
+def _wrong_field(draw):
+    (op, name), kinds = draw(st.sampled_from(sorted(_FIELDS.items())))
+    record = {"id": draw(st.integers()), "op": op}
+    record.update({f: _VALID[f] for (o, f) in _FIELDS if o == op})
+    record[name] = draw(_JSON.filter(
+        lambda v: v is not None and not _accepts(kinds, v)))
+    return record
+
+
+_BAD_JOBS = st.lists(
+    st.one_of(_JSON.filter(lambda v: not isinstance(v, dict)),
+              st.sampled_from([{}, {"fn": "no-colon", "experiment": "t",
+                                    "key": "k"},
+                               dict(_add(1, 1).to_wire(), params=5),
+                               dict(_add(1, 1).to_wire(), seed=[1]),
+                               dict(_add(1, 1).to_wire(), bogus=1)])),
+    min_size=1, max_size=3)
+
+
+def _is_request(line):
+    try:
+        record = decode(line)
+    except ValueError:
+        return False
+    return record.get("op") in OPS
+
+
+_MALFORMED = st.one_of(
+    # bad JSON / bad UTF-8
+    st.binary(max_size=24).filter(
+        lambda b: b"\n" not in b and not _is_request(b)),
+    # valid JSON that is not an object
+    _JSON.filter(lambda v: not isinstance(v, dict)).map(
+        lambda v: json.dumps(v).encode()),
+    # unknown ops, including non-string ones
+    st.one_of(st.text(max_size=8), _JSON).filter(
+        lambda op: op not in OPS).map(
+        lambda op: encode({"id": 1, "op": op}).rstrip(b"\n")),
+    # known ops with one wrongly typed field
+    _wrong_field().map(lambda r: encode(r).rstrip(b"\n")),
+    _BAD_JOBS.map(lambda jobs: encode(
+        {"id": 2, "op": "submit", "jobs": jobs}).rstrip(b"\n")),
+)
+
+
+class TestMalformedRequests:
+    def test_each_gets_one_error_reply_and_the_daemon_lives(self,
+                                                            tmp_path):
+        import socket
+
+        with _daemon(tmp_path) as bg, \
+                socket.create_connection(bg.address, timeout=10) as sock, \
+                sock.makefile("rb") as replies:
+
+            def ask(line):
+                sock.sendall(line + b"\n")
+                return decode(replies.readline())
+
+            hello = {"id": 0, "op": "hello", "name": "fuzz"}
+            assert ask(encode(hello).rstrip(b"\n"))["ok"] is True
+
+            @settings(max_examples=200, deadline=None)
+            @given(line=_MALFORMED)
+            def check(line):
+                reply = ask(line)
+                assert reply["ok"] is False and reply["error"]
+                # Exactly one reply: the next line answers this ping.
+                pong = ask(encode({"id": "p", "op": "ping"}).rstrip(b"\n"))
+                assert pong == {"id": "p", "ok": True, "pong": True}
+
+            check()
+            with Client(bg.address, name="after") as client:
+                assert client.ping()
 
 
 # --- one cache-dir contract across client, server and CLI -----------------
