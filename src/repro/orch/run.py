@@ -15,7 +15,6 @@ outcomes.
 from __future__ import annotations
 
 import asyncio
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -90,46 +89,39 @@ def run_jobs(jobs: List[Job], *, workers: int = 1,
     config = ServeConfig(workers=workers, use_cache=store is not None,
                          default_timeout=default_timeout,
                          fingerprint=fingerprint)
-    scheduler = Scheduler(config, store, journal, inline=True)
     tracker = _Progress(progress, total=len(jobs))
-
-    # The scheduler keeps one entry per cache key, so jobs sharing a
-    # spec (say, one simulation at two ``procs`` grants) go in successive
-    # submissions, the repeats recomputed: every listed job runs.
-    waves: List[List[int]] = []
-    seen: Counter = Counter()
-    for i, key in enumerate(keys):
-        if seen[key] == len(waves):
-            waves.append([])
-        waves[seen[key]].append(i)
-        seen[key] += 1
-
     outcomes = [JobOutcome(job, key, CANCELLED)
                 for job, key in zip(jobs, keys)]
-    wave_of: Dict[str, int] = {}  # cache key -> job index, current wave
+    # A scheduler runs each cache key at most once, so a job repeating
+    # an earlier job's key (one spec at two ``procs`` grants, which
+    # export different worker budgets) runs in a later pass on a
+    # scheduler of its own; only the first pass reads the cache.
+    passes: List[Dict[str, int]] = []  # per pass: cache key -> job index
+    for i, key in enumerate(keys):
+        free = next((p for p in passes if key not in p), None)
+        if free is None:
+            free = {}
+            passes.append(free)
+        free[key] = i
 
-    def on_event(record: Dict[str, Any]) -> None:
-        if record["event"] == "job":
-            i = wave_of[record["cache_key"]]
-            outcomes[i] = JobOutcome.from_envelope(
-                jobs[i], keys[i], scheduler.result_of(keys[i]))
-            tracker.report(outcomes[i])
-
-    scheduler.add_listener(on_event)
     loop = asyncio.new_event_loop()
+    interrupted = False
     try:
-        loop.run_until_complete(scheduler.start())
-        client = scheduler.register_client("local")
-        for n, wave in enumerate(waves):
-            wave_of = {keys[i]: i for i in wave}
-            sub = scheduler.submit_jobs(
-                client.client_id, [jobs[i] for i in wave],
-                [keys[i] for i in wave], use_cache=use_cache and n == 0)
-            loop.run_until_complete(scheduler.wait_submission(sub["sub"]))
-    except KeyboardInterrupt:
-        scheduler.cancel_unfinished()
+        for n, pending in enumerate(passes):
+            run = _Pass(Scheduler(config, store, journal, inline=True),
+                        pending, outcomes, tracker)
+            try:
+                # After Ctrl-C the remaining passes are submitted and
+                # cancelled at once, so every job is journaled.
+                loop.run_until_complete(run.drive(
+                    use_cache and n == 0, cancel=interrupted))
+            except KeyboardInterrupt:
+                interrupted = True
+                run.scheduler.cancel_unfinished()
+                run.settle()
+            finally:
+                loop.run_until_complete(run.scheduler.shutdown())
     finally:
-        loop.run_until_complete(scheduler.shutdown())
         loop.close()
     return outcomes
 
@@ -137,6 +129,56 @@ def run_jobs(jobs: List[Job], *, workers: int = 1,
 def collect_payloads(outcomes: List[JobOutcome]) -> Dict[str, Any]:
     """``{cache_key: payload}`` with ``None`` for unfinished jobs."""
     return {o.key: (o.payload if o.ok else None) for o in outcomes}
+
+
+class _Pass:
+    """One scheduler run of jobs with distinct cache keys.  Outcomes and
+    progress are settled in ``run_jobs``' own frames, not inside the
+    scheduler's listener call, so an error in the progress callback
+    propagates to the caller."""
+
+    def __init__(self, scheduler: Any, pending: Dict[str, int],
+                 outcomes: List[JobOutcome], tracker: "_Progress") -> None:
+        self.scheduler = scheduler
+        self.pending = pending
+        self.outcomes = outcomes
+        self.tracker = tracker
+        self.settled: List[str] = []  # cache keys not yet taken
+        self.wake: Optional[asyncio.Event] = None
+        scheduler.add_listener(self._on_event)
+
+    def _on_event(self, record: Dict[str, Any]) -> None:
+        if record["event"] == "job":
+            self.settled.append(record["cache_key"])
+            if self.wake is not None:
+                self.wake.set()
+
+    async def drive(self, use_cache: bool, cancel: bool) -> None:
+        self.wake = asyncio.Event()
+        await self.scheduler.start()
+        client = self.scheduler.register_client("local")
+        indices = list(self.pending.values())
+        self.scheduler.submit_jobs(
+            client.client_id, [self.outcomes[i].job for i in indices],
+            [self.outcomes[i].key for i in indices], use_cache=use_cache)
+        if cancel:
+            self.scheduler.cancel_unfinished()
+        while True:
+            self.settle()
+            if not self.pending:
+                return
+            await self.wake.wait()
+            self.wake.clear()
+
+    def settle(self) -> None:
+        while self.settled:
+            key = self.settled.pop(0)
+            i = self.pending.pop(key, None)
+            if i is not None:
+                self.outcomes[i] = JobOutcome.from_envelope(
+                    self.outcomes[i].job, key,
+                    self.scheduler.result_of(key))
+                self.tracker.report(self.outcomes[i])
 
 
 class _Progress:

@@ -247,8 +247,8 @@ class Scheduler:
         """Admit one plan; returns per-job keys/statuses (atomic: a
         quota rejection admits nothing).  ``keys`` are the jobs' cache
         keys when the caller already has them.  ``use_cache=False``
-        recomputes: neither the store nor a completed entry serves the
-        plan (an in-flight run of the same spec is still shared)."""
+        skips the store lookup only: a queued, running or completed
+        entry of the same spec is still shared."""
         state = self.quotas.get(client_id)
         if keys is None:
             keys = [cache_key(job, self.fingerprint) for job in jobs]
@@ -262,8 +262,7 @@ class Scheduler:
             entry = self._entries.get(key)
             if key in seen_new:
                 action, record = "dedup-sub", None
-            elif (use_cache and entry is not None
-                  and entry.status in (OK, CACHED)):
+            elif entry is not None and entry.status in (OK, CACHED):
                 action, record = "dedup-done", None
             elif entry is not None and entry.status in (QUEUED, RUNNING):
                 action, record = "dedup-inflight", None

@@ -67,6 +67,11 @@ def crash_once_job(params, config):
     return {"survived": True}
 
 
+def interrupt_job(params, config):
+    """Stands in for Ctrl-C landing while an in-process job runs."""
+    raise KeyboardInterrupt
+
+
 def _add(a, b, key=None, **kw):
     return Job("t", key or f"{a}+{b}", f"{HERE}:add_job",
                params={"a": a, "b": b}, **kw)
@@ -295,6 +300,33 @@ class TestPool:
         assert outcome.status == "ok"
         assert outcome.attempts == 2
         assert outcome.payload == {"survived": True}
+
+    def test_progress_callback_errors_propagate(self):
+        def progress(outcome, done, total, eta):
+            raise RuntimeError("progress sink closed")
+
+        with pytest.raises(RuntimeError, match="progress sink closed"):
+            run_jobs([_add(1, 2)], workers=0, use_cache=False,
+                     progress=progress)
+
+    def test_interrupt_cancels_and_journals_every_job(self, tmp_path):
+        """Jobs repeating a cache key run in a later pass; Ctrl-C in
+        the first pass still journals them as cancelled."""
+        path = str(tmp_path / "run.jsonl")
+        stop = Job("t", "stop", f"{HERE}:interrupt_job")
+        jobs = [stop, _add(1, 2),
+                Job("t", "stop-wide", f"{HERE}:interrupt_job", procs=2)]
+        seen = []
+        with RunJournal(path) as journal:
+            outcomes = run_jobs(jobs, workers=0, journal=journal,
+                                use_cache=False,
+                                progress=lambda o, *_: seen.append(o.job.key))
+        assert [o.status for o in outcomes] == ["cancelled"] * 3
+        assert sorted(seen) == ["1+2", "stop", "stop-wide"]
+        job_records = [r for r in read_journal(path) if r["event"] == "job"]
+        assert sorted((r["key"], r["outcome"]) for r in job_records) == [
+            ("1+2", "cancelled"), ("stop", "cancelled"),
+            ("stop-wide", "cancelled")]
 
     def test_cache_hits_on_identical_rerun(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))

@@ -413,18 +413,24 @@ class TestDaemon:
         assert [e["status"] for e in envs] == ["ok", "ok"]
         assert wall >= 0.45
 
-    def test_no_cache_submission_recomputes_completed_jobs(self, tmp_path):
+    def test_no_cache_submission_leaves_finished_submission_intact(
+            self, tmp_path):
+        """A use_cache=False resubmission of a completed job attaches to
+        the finished entry; the first submission's results stay ok."""
         marker = str(tmp_path / "runs.txt")
         job = Job("t", "c", f"{HERE}:counting_job",
                   params={"a": 1, "b": 1, "marker": marker})
         with _daemon(tmp_path) as bg, \
                 Client(bg.address, name="fresh") as client:
-            client.results(client.submit([job])["sub"])
-            sub = client.submit([job], use_cache=False)
-            assert sub["queued"] == 1
-            assert client.results(sub["sub"])[0]["status"] == "ok"
+            first = client.submit([job])["sub"]
+            client.results(first)
+            second = client.submit([job], use_cache=False)
+            (env,) = client.results(first)
+            assert second["deduped"] == 1
+            assert client.results(second["sub"])[0]["status"] == "ok"
+        assert env["status"] == "ok" and env["payload"]["sum"] == 2
         with open(marker) as fh:
-            assert len(fh.readlines()) == 2
+            assert len(fh.readlines()) == 1
 
     def test_hello_required_before_submit(self, tmp_path):
         import socket
