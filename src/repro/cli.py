@@ -92,6 +92,27 @@ def _parse_cells(text: str) -> tuple:
         raise SystemExit(f"bad --cells {text!r}: want CXxCY, e.g. 2x1")
 
 
+def _pick_kernel(target: Optional[str], registry, extras=(), *,
+                 noun: str = "suite kernel",
+                 usage: str = "") -> Optional[str]:
+    """Resolve a case-insensitive kernel name: a ``registry`` key, or
+    one of the lowercase ``extras`` (``all``, ``fixture``, ...).  On a
+    missing or unknown name, print ``usage`` or the complaint with every
+    choice to stderr and return ``None`` (the caller exits 2)."""
+    choices = ", ".join([*registry, *extras])
+    if not target:
+        print(f"{usage}; one of: {choices}", file=sys.stderr)
+        return None
+    lower = target.lower()
+    if lower in extras:
+        return lower
+    for key in registry:
+        if key.lower() == lower:
+            return key
+    print(f"unknown {noun} {target!r}; one of: {choices}", file=sys.stderr)
+    return None
+
+
 def _bench_cells(args: argparse.Namespace) -> int:
     """``bench-speed --cells``: PDES scaling over serialized execution."""
     import json
@@ -106,17 +127,15 @@ def _bench_cells(args: argparse.Namespace) -> int:
     samples = {}
     for name in kernels:
         s = measure_cells(config, name, size=args.size or "tiny",
-                          workers=workers, repeats=args.repeats,
-                          window=args.sync_window)
+                          workers=workers, repeats=args.repeats)
         samples[name] = s
         det = "deterministic" if s["deterministic"] else "NON-DETERMINISTIC"
         print(f"{name:10s} serial={s['serial_wall_seconds']:.3f}s "
               f"parallel={s['parallel_wall_seconds']:.3f}s "
               f"scaling={s['scaling']:.2f}x ({det})")
-        if s.get("contention_gap") is not None:
-            print(f"           accuracy vs monolithic: contention-priced "
-                  f"gap {s['contention_gap']:g} cycles "
-                  f"(zero-load: {s['zero_load_gap']:g})")
+        if s["contention_gap"] is not None:
+            print(f"           accuracy vs monolithic: gap "
+                  f"{s['contention_gap']:g} cycles")
         if s["host_cpus"] < workers:
             print(f"           note: host has {s['host_cpus']} CPU(s) for "
                   f"{workers} workers -- they time-share, so scaling "
@@ -214,22 +233,13 @@ def _pim_cmd(args: argparse.Namespace) -> int:
     from .experiments import pim_offload
     from .pim.kernels import OFFLOADS
 
-    if not args.target:
-        print("pim: missing kernel (repro pim <kernel|all>); one of: "
-              + ", ".join(OFFLOADS) + ", all", file=sys.stderr)
+    name = _pick_kernel(args.target, OFFLOADS, ("all",),
+                        noun="offload kernel",
+                        usage="pim: missing kernel (repro pim <kernel|all>)")
+    if name is None:
         return 2
     size = args.size or "small"
-    target = args.target.lower()
-    if target == "all":
-        names = list(OFFLOADS)
-    else:
-        by_lower = {k.lower(): k for k in OFFLOADS}
-        name = by_lower.get(target)
-        if name is None:
-            print(f"unknown offload kernel {args.target!r}; one of: "
-                  + ", ".join(OFFLOADS) + ", all", file=sys.stderr)
-            return 2
-        names = [name]
+    names = list(OFFLOADS) if name == "all" else [name]
     reports = [
         pim_offload.run_offload(name, size=size,
                                 audit=args.audit_cells,
@@ -270,22 +280,17 @@ def _sanitize_cmd(args: argparse.Namespace) -> int:
     from .sanitize import FIXTURE, fixture_args, format_report, sanitize_report
     from .session import Session
 
-    if not args.target:
-        print("sanitize: missing kernel (repro sanitize <kernel>); one of: "
-              + ", ".join(SUITE) + ", fixture", file=sys.stderr)
+    name = _pick_kernel(
+        args.target, SUITE, ("fixture",),
+        usage="sanitize: missing kernel (repro sanitize <kernel>)")
+    if name is None:
         return 2
     size = args.size or "small"
-    if args.target.lower() == "fixture":
+    if name == "fixture":
         # The seeded-bug diagnostic: a small machine is plenty.
         config, kernel = small_config(4, 4), FIXTURE
-        kernel_args, name = fixture_args(), "fixture"
+        kernel_args = fixture_args()
     else:
-        by_lower = {k.lower(): k for k in SUITE}
-        name = by_lower.get(args.target.lower())
-        if name is None:
-            print(f"unknown suite kernel {args.target!r}; one of: "
-                  + ", ".join(SUITE) + ", fixture", file=sys.stderr)
-            return 2
         config, kernel = HB_16x8, SUITE[name].kernel
         kernel_args = suite_args(name, size)
     session = Session(config, sanitize=True)
@@ -318,22 +323,13 @@ def _audit_cmd(args: argparse.Namespace) -> int:
     from .kernels.registry import SUITE
     from .session import Session
 
-    if not args.target:
-        print("audit: missing kernel (repro audit <kernel|all>); one of: "
-              + ", ".join(SUITE) + ", all", file=sys.stderr)
+    name = _pick_kernel(args.target, SUITE, ("all",),
+                        usage="audit: missing kernel (repro audit "
+                              "<kernel|all>)")
+    if name is None:
         return 2
     size = args.size or "small"
-    target = args.target.lower()
-    if target == "all":
-        names = list(SUITE)
-    else:
-        by_lower = {k.lower(): k for k in SUITE}
-        name = by_lower.get(target)
-        if name is None:
-            print(f"unknown suite kernel {args.target!r}; one of: "
-                  + ", ".join(SUITE) + ", all", file=sys.stderr)
-            return 2
-        names = [name]
+    names = list(SUITE) if name == "all" else [name]
 
     runs = []
     for name in names:
@@ -385,34 +381,26 @@ def _cells_cmd(args: argparse.Namespace) -> int:
     cx, cy = _parse_cells(args.cells)
     config = HB_16x8.with_geometry(cells_x=cx, cells_y=cy)
     size = args.size or "tiny"
-    target = (args.target or "exchange").lower()
-    if target == "exchange":
-        name, launches = "exchange", xfix.exchange_launches(config)
-    elif target == "pipeline":
-        name, launches = "pipeline", xfix.pipeline_launches(config)
+    name = _pick_kernel(args.target or "exchange", SUITE,
+                        ("exchange", "pipeline"), noun="kernel")
+    if name is None:
+        return 2
+    if name == "exchange":
+        launches = xfix.exchange_launches(config)
+    elif name == "pipeline":
+        launches = xfix.pipeline_launches(config)
     else:
-        by_lower = {k.lower(): k for k in SUITE}
-        name = by_lower.get(target)
-        if name is None:
-            print(f"unknown kernel {args.target!r}; one of: "
-                  + ", ".join(SUITE) + ", exchange, pipeline",
-                  file=sys.stderr)
-            return 2
         launches = [LaunchSpec(cell=xy, kernel=name,
                                args=suite_args(name, size),
                                remote=False)
                     for xy in config.chip.cells()]
     workers = args.cell_workers or min(cx * cy, os.cpu_count() or 1)
     res = run_cells(config, launches, workers=workers,
-                    window=args.sync_window, audit=args.audit_cells,
-                    sanitize=args.sanitize_cells,
-                    contention=args.contention)
+                    audit=args.audit_cells, sanitize=args.sanitize_cells)
     deterministic = None
     if args.check_determinism:
         ref = run_cells(config, launches, workers=1,
-                        window=args.sync_window, audit=args.audit_cells,
-                        sanitize=args.sanitize_cells,
-                        contention=args.contention)
+                        audit=args.audit_cells, sanitize=args.sanitize_cells)
         deterministic = ref.fingerprint() == res.fingerprint()
     report = res.to_dict()
     report["kernel"], report["size"] = name, size
@@ -431,11 +419,10 @@ def _cells_cmd(args: argparse.Namespace) -> int:
         print(f"  sync: window={res.window:g} (lookahead {res.lookahead:g}), "
               f"{res.rounds} rounds, {res.messages} cross-Cell messages, "
               f"{res.wall_seconds:.3f}s wall")
-        if res.contention is not None:
-            c = res.contention
-            print(f"  contention: {c['stalled_packets']}/{c['packets']} "
-                  f"packets stalled at Cell edges, "
-                  f"{c['stall_cycles']:g} stall cycles")
+        c = res.contention
+        print(f"  contention: {c['stalled_packets']}/{c['packets']} "
+              f"packets stalled at Cell edges, "
+              f"{c['stall_cycles']:g} stall cycles")
         if deterministic is not None:
             print("  determinism: " + ("1-worker run is bit-identical"
                                        if deterministic else
@@ -463,15 +450,9 @@ def _trace_cmd(args: argparse.Namespace) -> int:
     from .session import Session
     from .trace import TraceConfig, format_report, trace_report, write_chrome
 
-    if not args.target:
-        print("trace: missing kernel (repro trace <kernel>); one of: "
-              + ", ".join(SUITE), file=sys.stderr)
-        return 2
-    by_lower = {k.lower(): k for k in SUITE}
-    name = by_lower.get(args.target.lower())
+    name = _pick_kernel(args.target, SUITE,
+                        usage="trace: missing kernel (repro trace <kernel>)")
     if name is None:
-        print(f"unknown suite kernel {args.target!r}; one of: "
-              + ", ".join(SUITE), file=sys.stderr)
         return 2
     size = args.size or "tiny"
     config = TraceConfig(window=args.window)
@@ -756,10 +737,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cell-workers", type=int, default=None, metavar="N",
                         help="cells/bench-speed --cells: shard worker "
                              "processes (default: min(cells, cpus))")
-    parser.add_argument("--sync-window", type=float, default=None,
-                        metavar="CYC",
-                        help="cells: conservative window size (default: "
-                             "the inter-Cell lookahead)")
     parser.add_argument("--check-determinism", action="store_true",
                         help="cells: rerun with 1 worker and require a "
                              "bit-identical fingerprint")
@@ -770,14 +747,6 @@ def main(argv=None) -> int:
                         action="store_true",
                         help="cells: attach the race checker to every shard "
                              "(includes the cross-shard stitching pass)")
-    parser.add_argument("--contention", dest="contention",
-                        action="store_true", default=True,
-                        help="cells: price deterministic inter-Cell link "
-                             "contention (default)")
-    parser.add_argument("--no-contention", dest="contention",
-                        action="store_false",
-                        help="cells: price cross-Cell packets at the "
-                             "zero-load floor (the old optimistic model)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="sweep: worker processes (default: CPU count; "
                              "0 runs in-process)")

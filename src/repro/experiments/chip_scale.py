@@ -124,8 +124,7 @@ def simulate_chip(kernel_name: str, cells_x: int = 2, cells_y: int = 1,
                   size: str = "tiny",
                   exchange_bytes_per_cell: Optional[int] = None,
                   config: MachineConfig = HB_16x8,
-                  workers: int = 1,
-                  window: Optional[float] = None) -> Dict[str, Any]:
+                  workers: int = 1) -> Dict[str, Any]:
     """Ground truth for :func:`project_chip`: actually simulate the grid.
 
     Every Cell of a ``cells_x x cells_y`` chip runs its own instance of
@@ -147,7 +146,7 @@ def simulate_chip(kernel_name: str, cells_x: int = 2, cells_y: int = 1,
                            args=suite_args(kernel_name, size),
                            remote=False)
                 for xy in multi.chip.cells()]
-    sim = run_cells(multi, launches, workers=workers, window=window)
+    sim = run_cells(multi, launches, workers=workers)
     # Seed the projection from a run of the same size tier so the two
     # sides share their single-Cell baseline.
     bench = registry.SUITE[kernel_name]

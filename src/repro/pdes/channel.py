@@ -12,19 +12,20 @@ three picklable message types instead of touching the local fabric:
   point, exactly as in the monolithic machine);
 * :class:`CellResponse` -- the answer routed back to the requester.
 
-Cross-Cell packets are priced in two deterministic parts.  The channel
-charges the zero-load latency of the real request/response networks
-(:meth:`Network.conservative_latency` -- pure arithmetic, no link-state
-mutation, so shard histories can never diverge through pricing).  The
+Cross-Cell packets are priced in three deterministic parts.  The
+channel charges the zero-load latency of the real request/response
+networks (:meth:`Network.conservative_latency`), plus the queueing delay
+of the packet's intra-Cell legs, walked with real link reservation on
+the shard's own network planes (:meth:`ShardChannel._leg`).  The
 coordinator then adds inter-Cell boundary contention on top: every
 message carries its flit count and endpoint nodes, and
 :class:`repro.pdes.contention.EdgeContention` replays the global message
 stream against per-boundary-lane occupancy ledgers, so a congested Cell
-edge stalls packets exactly as the monolithic link reservations would.
-Contention only ever *adds* latency, which keeps the zero-load floor
-over all cross-Cell pairs -- the conservative window's lookahead
+edge stalls packets as the monolithic link reservations would.  Both
+contention terms only ever *add* latency, which keeps the zero-load
+floor over all cross-Cell pairs -- the conservative window's lookahead
 (:func:`repro.noc.analysis.intercell_lookahead`) -- a valid bound.
-Intra-Cell traffic keeps full per-link contention timing as before.
+Intra-Cell traffic keeps full per-link contention timing.
 
 Determinism: every message carries ``(src_cell, seq)``; the coordinator
 delivers each window's messages sorted by ``(arrival, src_cell, seq)``
@@ -200,15 +201,6 @@ class ShardChannel:
         #: initiating a cross-Cell request then raises, which is what
         #: lets the coordinator trust the declaration and free-run.
         self.local_only = False
-        #: Contention pricing for the *intra-Cell legs* of cross-Cell
-        #: paths (set from ``ShardSpec.contention``): the stretch of a
-        #: packet's route inside this Cell is walked on this shard's own
-        #: network planes with real link reservation, so cross-Cell and
-        #: Cell-local traffic stall each other exactly as the monolithic
-        #: machine's shared links do.  Only the queueing component is
-        #: added on top of the zero-load cross-Cell price, so the priced
-        #: arrival never drops below the lookahead floor.
-        self.contention = True
         chip = machine.config.chip
         ox, oy = chip.cell_origin(cell_xy)
         self._box = (ox, oy, chip.cell.cols, chip.cell.rows)
@@ -303,8 +295,6 @@ class ShardChannel:
         stall is ``>= 0``, so adding it on top of the zero-load price
         keeps every cross-Cell arrival at or above the lookahead bound.
         """
-        if not self.contention:
-            return 0.0
         return net.reserve_leg(src, dst, flits, inject, self._inside)
 
     # -- destination side (window ingress) ----------------------------------

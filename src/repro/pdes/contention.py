@@ -3,9 +3,9 @@
 The monolithic machine prices every packet by reserving ``flits`` cycles
 on each link of its dimension-ordered path (:class:`repro.noc.network.Network`).
 PDES shards cannot share that link state -- mutating it from two shards
-would make their histories diverge -- so cross-Cell packets used to be
-priced at the zero-load floor, systematically under-charging cross-Cell
-traffic.  This module closes the gap without sharing anything live: the
+would make their histories diverge -- and pricing cross-Cell packets at
+the zero-load floor alone would under-charge congested seams.  This
+module prices the Cell edges without sharing anything live: the
 *coordinator* (the only place every message is visible) replays each
 boundary crossing against a deterministic occupancy ledger.
 

@@ -111,9 +111,9 @@ class CellsResult:
     #: One payload dict per shard (``CellShard.collect`` output), in
     #: Cell order.
     shards: List[Dict[str, Any]] = field(default_factory=list)
-    #: ``EdgeContention.summary()`` when inter-Cell contention pricing
-    #: ran, else ``None`` (zero-load pricing).
-    contention: Optional[Dict[str, Any]] = None
+    #: ``EdgeContention.summary()``: the Cell-edge lane ledger's stats
+    #: (zero packets when no message crossed a seam).
+    contention: Dict[str, Any] = field(default_factory=dict)
     #: Cross-shard sanitizer stitching report
     #: (:func:`repro.sanitize.xshard.stitch_shards`) when sanitizing.
     xshard: Optional[Dict[str, Any]] = None
@@ -301,7 +301,6 @@ def run_cells(config: MachineConfig,
               window: Optional[float] = None,
               audit: bool = False,
               sanitize: bool = False,
-              contention: bool = True,
               _jitter_seed: Optional[int] = None) -> CellsResult:
     """Simulate every Cell of ``config`` as a PDES shard.
 
@@ -313,13 +312,14 @@ def run_cells(config: MachineConfig,
     lookahead (the largest safe value); smaller windows are valid and
     must not change results.
 
-    ``contention=True`` (the default) prices cross-Cell messages through
-    the deterministic :class:`~repro.pdes.contention.EdgeContention`
-    boundary-lane ledger instead of the bare zero-load floor;
-    ``contention=False`` restores the optimistic pricing (useful for
-    measuring the gap).  ``sanitize=True`` additionally runs the offline
-    cross-shard happens-before pass (:mod:`repro.sanitize.xshard`) over
-    the per-shard exports, so races *between* Cells are reported too.
+    Cross-Cell messages are priced at the zero-load floor plus
+    contention: the intra-Cell legs of their paths reserve each
+    shard's own links, and the deterministic
+    :class:`~repro.pdes.contention.EdgeContention` ledger adds
+    Cell-edge lane stalls.  ``sanitize=True`` additionally runs the
+    offline cross-shard happens-before pass
+    (:mod:`repro.sanitize.xshard`) over the per-shard exports, so races
+    *between* Cells are reported too.
 
     ``_jitter_seed`` shuffles each round's message batch before the
     canonical sort -- a test hook proving delivery order is a function
@@ -353,8 +353,7 @@ def run_cells(config: MachineConfig,
     specs = [ShardSpec(config=config_dict, cell=xy,
                        launches=tuple(by_cell[xy]),
                        pokes=tuple(pokes_by[xy]),
-                       audit=audit, sanitize=sanitize,
-                       contention=contention)
+                       audit=audit, sanitize=sanitize)
              for xy in cells]
     workers = resolve_workers(workers, len(cells))
     # Shards whose launches all declared remote=False can never send
@@ -366,19 +365,18 @@ def run_cells(config: MachineConfig,
                  else _PipeTransport(specs, workers))
     rng = random.Random(_jitter_seed) if _jitter_seed is not None else None
     index_of = {xy: i for i, xy in enumerate(cells)}
-    pricer = EdgeContention(config) if contention else None
+    pricer = EdgeContention(config)
     t0 = time.perf_counter()
     try:
         reports = transport.init()
         inflight: List[Any] = []
-        # With contention, fresh emissions park in the release pool at
-        # their zero-load arrival until no future emission could sort
-        # before them; only then are they priced (in the one global
-        # order) and promoted to ``inflight`` for delivery.
+        # Fresh emissions park in the release pool at their zero-load
+        # arrival until no future emission could sort before them; only
+        # then are they priced (in the one global order) and promoted
+        # to ``inflight`` for delivery.
         pool: List[Any] = []
-        fresh = pool if pricer is not None else inflight
         for report in reports:
-            fresh.extend(report.outbox)
+            pool.extend(report.outbox)
         rounds = 0
         messages = 0
         while True:
@@ -394,7 +392,7 @@ def run_cells(config: MachineConfig,
                     break
                 for idx, report in transport.advance(assignments):
                     reports[idx] = report
-                    fresh.extend(report.outbox)
+                    pool.extend(report.outbox)
                 rounds += 1
                 continue
             candidates = [r.next_time for r in reports
@@ -405,7 +403,7 @@ def run_cells(config: MachineConfig,
                 break
             base = min(candidates)
             t_end = base + window
-            if pricer is not None and pool:
+            if pool:
                 # Release every pooled message no future emission can
                 # pre-empt: emissions from this round on are stamped
                 # >= base, arriving >= base + lookahead, strictly after
@@ -441,7 +439,7 @@ def run_cells(config: MachineConfig,
                     f"messages addressed to unknown cells {sorted(inbox)}")
             for idx, report in transport.advance(assignments):
                 reports[idx] = report
-                fresh.extend(report.outbox)
+                pool.extend(report.outbox)
             rounds += 1
         stuck = [r.cell for r in reports if not r.done]
         if stuck:
@@ -462,6 +460,6 @@ def run_cells(config: MachineConfig,
         config_name=config.name, cells=cells, workers=workers,
         window=window, lookahead=lookahead, rounds=rounds,
         messages=messages, wall_seconds=wall, shards=payloads,
-        contention=pricer.summary() if pricer is not None else None,
+        contention=pricer.summary(),
         xshard=xshard_report,
     )

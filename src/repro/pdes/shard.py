@@ -144,9 +144,6 @@ class ShardSpec:
     pokes: Tuple[Tuple[int, int], ...] = ()  # (offset, value) on this Cell
     audit: bool = False
     sanitize: bool = False
-    #: Price the intra-Cell legs of cross-Cell paths on this shard's own
-    #: network planes (see ``ShardChannel.contention``).
-    contention: bool = True
 
 
 class StepReport:
@@ -184,7 +181,6 @@ class CellShard:
         config = serialize.from_dict(spec.config)
         self.machine = Machine(config, owned_cells=[self.cell_xy])
         self.channel = ShardChannel(self.machine, self.cell_xy)
-        self.channel.contention = spec.contention
         # remote=False on *every* launch turns the promise into a trap:
         # initiating any cross-Cell request from this shard raises.
         # (Replies to inbound requests are still allowed -- they are the

@@ -81,7 +81,6 @@ def measure_suite(config: Any, size: str = "small",
 
 def measure_cells(config: Any, name: str, size: str = "tiny",
                   workers: int = 2, repeats: int = 1,
-                  window: Optional[float] = None,
                   words: int = 64) -> Dict[str, Any]:
     """Serial-vs-parallel PDES throughput for one multi-Cell workload.
 
@@ -97,10 +96,8 @@ def measure_cells(config: Any, name: str, size: str = "tiny",
     (``cycles_match_monolithic``).  The fixtures cross the seam, where
     PDES *prices* contention instead of simulating shared links, so
     exact agreement is not expected; the sample instead reports the
-    accuracy columns -- per-launch monolithic cycles against both the
-    contention-priced (default) and the old zero-load-priced PDES runs
-    (``contention_gap`` / ``zero_load_gap``, sums of per-launch
-    absolute differences).
+    accuracy column ``contention_gap``: the sum of per-launch absolute
+    differences between the monolithic and the PDES cycles.
     """
     from ..kernels.registry import SUITE
     from ..pdes import LaunchSpec, run_cells
@@ -131,7 +128,7 @@ def measure_cells(config: Any, name: str, size: str = "tiny",
         for _ in range(repeats):
             launches = make_launches()
             t0 = time.perf_counter()
-            res = run_cells(config, launches, workers=w, window=window)
+            res = run_cells(config, launches, workers=w)
             best = min(best, time.perf_counter() - t0)
         walls[w] = best
         runs[w] = res
@@ -152,19 +149,10 @@ def measure_cells(config: Any, name: str, size: str = "tiny",
     mono_cycles = [r.cycles for r in results]
     mono_rate = agg / mono_wall if mono_wall > 0 else 0.0
     cycles_match: Optional[bool] = None
-    zero_cycles: Optional[List[float]] = None
-    zero_gap: Optional[float] = None
     cont_gap: Optional[float] = None
     if name in SUITE:
         cycles_match = mono_cycles == serial.cycles
     else:
-        # Fixture accuracy columns: the default PDES runs above price
-        # inter-Cell contention; one extra zero-load-priced run shows
-        # what the old optimistic model would have reported.
-        zero = run_cells(config, make_launches(), workers=1, window=window,
-                         contention=False)
-        zero_cycles = zero.cycles
-        zero_gap = sum(abs(m - c) for m, c in zip(mono_cycles, zero_cycles))
         cont_gap = sum(abs(m - c) for m, c in zip(mono_cycles, serial.cycles))
     base_rate = mono_rate if mono_rate else serial_rate
     try:
@@ -194,8 +182,6 @@ def measure_cells(config: Any, name: str, size: str = "tiny",
         "monolithic_sim_cycles_per_sec": mono_rate,
         "cycles_match_monolithic": cycles_match,
         "monolithic_cycles": mono_cycles,
-        "zero_load_cycles": zero_cycles,
-        "zero_load_gap": zero_gap,
         "contention_gap": cont_gap,
         "contention": serial.contention,
         "scaling": parallel_rate / base_rate if base_rate else 0.0,

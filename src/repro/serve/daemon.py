@@ -116,7 +116,14 @@ class _Connection:
         while True:
             try:
                 line = await self.reader.readline()
-            except (ConnectionError, asyncio.LimitOverrunError):
+            except ConnectionError:
+                break
+            except ValueError:
+                # readline's overrun signal: the rest of the frame is
+                # unframed garbage, so answer once and hang up.
+                self.send({"ok": False, "error": (
+                    f"request line exceeds the {MAX_LINE_BYTES}-byte "
+                    "limit; connection closed")})
                 break
             if not line:
                 break

@@ -112,13 +112,12 @@ class Session:
     * ``cells`` -- ``(X, Y)`` switches the session into PDES mode: the
       config's Cell grid is set to X x Y and :meth:`run` simulates the
       Cells as parallel shards (``workers`` processes, conservative
-      windows of ``window`` cycles, default = the inter-Cell lookahead).
-      ``audit``/``sanitize`` attach per shard (``sanitize`` also runs
-      the cross-shard race stitcher over the collected payloads);
-      ``contention`` (default on) prices deterministic inter-Cell link
-      contention -- Cell-edge lane occupancy plus the intra-Cell legs
-      of cross-Cell paths -- instead of the optimistic zero-load floor;
-      ``trace`` is unsupported.
+      windows of one inter-Cell lookahead).  Cross-Cell packets are
+      priced by deterministic link contention: Cell-edge lane occupancy
+      plus the intra-Cell legs of their paths.  ``audit``/``sanitize``
+      take ``True`` only and attach a default checker per shard
+      (``sanitize`` also runs the cross-shard race stitcher over the
+      collected payloads); ``trace`` is unsupported.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None, *,
@@ -126,9 +125,7 @@ class Session:
                  sanitize: Union[bool, Any] = False,
                  audit: Union[bool, Any] = False,
                  cells: Optional[Tuple[int, int]] = None,
-                 workers: int = 1,
-                 window: Optional[float] = None,
-                 contention: bool = True) -> None:
+                 workers: int = 1) -> None:
         self.config = HB_16x8 if config is None else config
         #: PDES state (``cells=(X, Y)`` mode): the plan before run(),
         #: the :class:`repro.pdes.CellsResult` after.
@@ -142,12 +139,18 @@ class Session:
                     "trace is not supported with cells=: PDES shards run "
                     "in worker processes with no shared timeline (run "
                     "per-Cell traced sessions instead)")
+            for flag, value in (("audit", audit), ("sanitize", sanitize)):
+                if value and value is not True:
+                    raise ValueError(
+                        f"{flag}={type(value).__name__}(...) is not "
+                        f"supported with cells=: every shard builds a "
+                        f"default checker in its worker (pass "
+                        f"{flag}=True)")
             self.machine = None
             self._plan = {
                 "launches": [], "pokes": [], "cells": {},
-                "workers": workers, "window": window,
+                "workers": workers,
                 "audit": bool(audit), "sanitize": bool(sanitize),
-                "contention": contention,
             }
             self.trace = None
             self.sanitizer = None
@@ -281,9 +284,8 @@ class Session:
                 raise RuntimeError("nothing to run; call launch() first")
             self.pdes = run_cells(
                 self.config, plan["launches"], pokes=plan["pokes"],
-                workers=plan["workers"], window=plan["window"],
-                audit=plan["audit"], sanitize=plan["sanitize"],
-                contention=plan["contention"])
+                workers=plan["workers"], audit=plan["audit"],
+                sanitize=plan["sanitize"])
             plan["launches"] = []
             plan["pokes"] = []
             return self.pdes

@@ -319,6 +319,24 @@ class TestSessionCells:
         with pytest.raises(ValueError, match="trace"):
             Session(small_config(4, 4), cells=(2, 1), trace=True)
 
+    def test_audit_config_rejected(self):
+        """Shards build default auditors, so a tuned AuditConfig would
+        be silently dropped: refuse it."""
+        from repro import Session
+        from repro.audit import AuditConfig
+
+        with pytest.raises(ValueError, match="audit=AuditConfig"):
+            Session(small_config(4, 4), cells=(2, 1),
+                    audit=AuditConfig(max_sites=1))
+
+    def test_sanitize_config_rejected(self):
+        from repro import Session
+        from repro.sanitize import SanitizeConfig
+
+        with pytest.raises(ValueError, match="sanitize=SanitizeConfig"):
+            Session(small_config(4, 4), cells=(2, 1),
+                    sanitize=SanitizeConfig(max_findings=1))
+
     def test_sim_unavailable_in_plan_mode(self):
         from repro import Session
 

@@ -549,6 +549,27 @@ class TestMalformedRequests:
             with Client(bg.address, name="after") as client:
                 assert client.ping()
 
+    def test_oversized_frame_gets_one_error_reply(self, tmp_path,
+                                                   monkeypatch):
+        """A line past the frame limit is answered once, naming the
+        limit, and only that connection is closed."""
+        import socket
+
+        import repro.serve.daemon as daemon_mod
+
+        monkeypatch.setattr(daemon_mod, "MAX_LINE_BYTES", 1024)
+        with _daemon(tmp_path) as bg:
+            with socket.create_connection(bg.address, timeout=10) as sock, \
+                    sock.makefile("rb") as replies:
+                sock.sendall(b'{"op": "ping", "pad": "' + b"x" * 4096
+                             + b'"}\n')
+                reply = decode(replies.readline())
+                assert reply["ok"] is False
+                assert "1024" in reply["error"]
+                assert replies.readline() == b""  # closed: one reply only
+            with Client(bg.address, name="after") as client:
+                assert client.ping()
+
 
 # --- one cache-dir contract across client, server and CLI -----------------
 
